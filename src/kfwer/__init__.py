@@ -40,6 +40,7 @@ from .errors import (
 from .models import (
     NullModel,
     SubsetIndex,
+    draw,
     draw_null_pvalues,
     equicorrelated_normal,
     equicorrelated_t,
@@ -75,16 +76,12 @@ from .simlab import (
     ExperimentConfig,
     MetricCell,
     MetricsReport,
-    SampleBatch,
     StudyOutcome,
     canned_study_configs,
     canned_study_names,
     rule_for,
     run_experiment,
     run_study,
-    sample_equicorr_normal,
-    sample_equicorr_t,
-    sample_factor_normal,
     thread_cap,
 )
 from .verify import CheckResult, run_suite
@@ -94,7 +91,7 @@ __all__ = [
     "AccuracySpec", "DEFAULT_ACCURACY", "normal_cdf", "normal_quantile",
     "integrate_gaussian", "find_root", "binomial_tail",
     "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
-    "factor_normal", "equicorrelated_t", "draw_null_pvalues",
+    "factor_normal", "equicorrelated_t", "draw", "draw_null_pvalues",
     "gk_empirical_build", "gk_evaluate", "gk_quantile",
     "gk_factor_subset", "gk_factor_averaged",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
@@ -105,10 +102,9 @@ __all__ = [
     "stepup_apply", "stepdown_apply", "single_step_apply", "global_simes_test",
     "CriticalVector", "ProbEstimate", "union_prob_mc", "lemma21_rhs_mc",
     "union_prob_exact_smalln", "bound_eq22", "bonferroni_eq23",
-    "METRICS", "SIM_PROCEDURES", "SampleBatch", "ExperimentConfig", "MetricCell",
-    "MetricsReport", "StudyOutcome", "sample_equicorr_normal",
-    "sample_factor_normal", "sample_equicorr_t", "rule_for", "run_experiment",
-    "run_study", "thread_cap", "canned_study_names", "canned_study_configs",
+    "METRICS", "SIM_PROCEDURES", "ExperimentConfig", "MetricCell",
+    "MetricsReport", "StudyOutcome", "rule_for", "run_experiment", "run_study",
+    "thread_cap", "canned_study_names", "canned_study_configs",
     "CheckResult", "run_suite",
     "KfwerError", "DomainError", "ConfigurationError", "ScaleError",
     "NumericalError", "BracketingError", "ConvergenceError",

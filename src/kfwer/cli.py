@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .critvals import CLASSIC_PROCEDURES, classic_critvals, critical_value_set
+from .critvals import critical_value_set
 from .errors import ConfigurationError, DomainError, KfwerError, NumericalError
 from .models import equicorrelated_normal, equicorrelated_t, factor_normal, independent
 from .procedures import PValueVector, single_step_apply, stepdown_apply, stepup_apply
@@ -105,19 +105,10 @@ def _emit(text: str, out_path):
 # subcommands
 
 
-def _constants_from_args(procedure, n, k, alpha, model):
-    if procedure == "gen_single_step":
-        return critical_value_set("gen_hochberg_stepup", n, k, alpha, model)
-    if procedure in CLASSIC_PROCEDURES:
-        # classic rules have no k parameter; --k only sets the metric elsewhere
-        return classic_critvals(procedure, n, alpha)
-    return critical_value_set(procedure, n, k, alpha, model)
-
-
 def _cmd_critvals(args) -> int:
     procedure = _resolve_procedure(args.procedure)
     model = _parse_model_spec(args.model)
-    cset = _constants_from_args(procedure, args.n, args.k, args.alpha, model)
+    cset = critical_value_set(procedure, args.n, args.k, args.alpha, model)
     lines = ["i,alpha_i,padded_c_i"]
     for i in range(1, cset.n + 1):
         alpha_i = _fmt(cset.values[i - cset.k]) if i >= cset.k else ""
@@ -169,7 +160,7 @@ def _cmd_apply(args) -> int:
     entries = _read_pvalue_file(args.pvalues)
     n = len(entries)
     model = _parse_model_spec(args.model)
-    cset = _constants_from_args(procedure, n, args.k, args.alpha, model)
+    cset = critical_value_set(procedure, n, args.k, args.alpha, model)
     report = _APPLIERS[rule_for(procedure)](PValueVector(tuple(entries)), cset)
     i0 = "none" if report.i0 is None else str(report.i0)
     lines = [

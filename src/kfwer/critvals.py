@@ -40,9 +40,12 @@ PROCEDURES = (
     "classic_simes",
     "classic_holm",
     "classic_hochberg",
+    "gen_single_step",
 )
 
 CLASSIC_PROCEDURES = ("classic_simes", "classic_holm", "classic_hochberg")
+
+_HOCHBERG_FAMILY = ("gen_hochberg_stepup", "gen_holm_stepdown", "gen_single_step")
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,12 @@ def gen_hochberg_critvals(n, k, alpha, model: NullModel, *, procedure="gen_hochb
                           force_inversion=False) -> CriticalValueSet:
     """Constants solving G_k(alpha_i) = alpha / C(n+k-i, k), i = k .. n.
 
-    One set serves both the generalized Holm stepdown and the
-    generalized Hochberg stepup; the procedure label records which rule
-    the set is built for.
+    One set serves the generalized Holm stepdown, the generalized
+    Hochberg stepup and the single-step rule (which uses only alpha_k);
+    the procedure label records which rule the set is built for.
     """
     n, k, alpha = _validate(n, k, alpha)
-    if procedure not in ("gen_hochberg_stepup", "gen_holm_stepdown"):
+    if procedure not in _HOCHBERG_FAMILY:
         raise ConfigurationError(f"unsupported procedure label {procedure!r}")
     if model.kind == "factor_normal" and len(model.loadings) != n:
         raise ConfigurationError(
@@ -231,7 +234,7 @@ def critical_value_set(procedure, n, k, alpha, model: NullModel | None = None) -
     """
     if procedure == "gen_simes":
         return gen_simes_critvals(n, k, alpha, model if model is not None else independent())
-    if procedure in ("gen_hochberg_stepup", "gen_holm_stepdown"):
+    if procedure in _HOCHBERG_FAMILY:
         return gen_hochberg_critvals(
             n, k, alpha, model if model is not None else independent(), procedure=procedure
         )

@@ -31,7 +31,7 @@ from math import comb
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError
 from .numerics import DEFAULT_ACCURACY, find_root, integrate_gaussian
 
 __all__ = [
@@ -47,10 +47,12 @@ __all__ = [
     "gk_quantile",
     "gk_factor_subset",
     "gk_factor_averaged",
+    "draw",
     "draw_null_pvalues",
     "stream_word",
     "substream",
-    "CHUNK_SIZE",
+    "BLOCK",
+    "MODEL_SALT",
 ]
 
 # The equicorrelated integrand divides by sqrt(1 - rho); values beyond
@@ -154,7 +156,10 @@ def equicorrelated_t(rho: float, dof: int, sample_size: int, seed: int) -> NullM
 # ---------------------------------------------------------------------------
 # seeded sampling
 
-CHUNK_SIZE = 1 << 15
+# Replications are drawn in fixed blocks of BLOCK rows; block b of a
+# (seed, salt) pair has its own Philox stream, so any row depends only on
+# (model, mu, seed, salt, row), never on n, the chunking or the threads.
+BLOCK = 1024
 
 # Distinct salts keep substreams from different subsystems disjoint even
 # when a user reuses one seed across them.
@@ -171,44 +176,67 @@ def substream(word: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[word, index]))
 
 
-def _draw_block(model: NullModel, n_cols: int, count: int, g: np.random.Generator):
+def _fill_block(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: np.ndarray):
+    """Fill out (BLOCK rows) from one block's stream in the order draw documents."""
     if model.kind == "independent":
-        return g.random((count, n_cols))
-    if model.kind in ("equicorrelated_normal", "factor_normal", "equicorrelated_t"):
-        normals = g.standard_normal((count, n_cols + 1))
-        common = normals[:, :1]
-        noise = normals[:, 1:]
-        if model.kind == "factor_normal":
-            lam = np.asarray(model.loadings[:n_cols])
-        else:
-            lam = math.sqrt(model.rho)
-        x = lam * common + np.sqrt(1.0 - np.square(lam)) * noise
-        if model.kind == "equicorrelated_t":
-            scale = np.sqrt(g.chisquare(model.dof, count) / model.dof)
-            x /= scale[:, None]
-            return stdtr(model.dof, -x)
-        return ndtr(-x)
-    raise ConfigurationError(f"cannot sample from model kind {model.kind!r}")
+        g.random(out=out)
+        shifted = mu != 0.0
+        if shifted.any():
+            out[:, shifted] = ndtr(ndtri(out[:, shifted]) - mu[shifted])
+        return
+    n = mu.size
+    normals = g.standard_normal((BLOCK, n + 1))
+    lam = np.asarray(model.loadings[:n]) if model.kind == "factor_normal" else math.sqrt(model.rho)
+    x = lam * normals[:, :1] + np.sqrt(1.0 - np.square(lam)) * normals[:, 1:]
+    if model.kind == "equicorrelated_t":
+        x /= np.sqrt(g.chisquare(model.dof, BLOCK) / model.dof)[:, None]
+        x += mu
+        stdtr(model.dof, -x, out=out)
+    else:
+        x += mu
+        ndtr(-x, out=out)
+
+
+def draw(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
+    """P-values of replications start..stop-1, one row each, len(mu) columns.
+
+    Block b = row // BLOCK draws from substream(stream_word(seed, salt), b);
+    start and stop must be multiples of BLOCK. Per block, by model kind:
+    independent draws BLOCK x n uniforms as the null p-values, and a
+    column with mu_j != 0 becomes ndtr(ndtri(p) - mu_j); the normal kinds
+    draw BLOCK x (n+1) standard normals, row-major with the common factor
+    first, add mu and take p = ndtr(-x); the t kind draws the same normals,
+    then BLOCK chi-squares, scales, adds mu and takes p = stdtr(dof, -x).
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim != 1 or mu.size < 1:
+        raise ConfigurationError(f"mu must be a vector of length n >= 1, got shape {mu.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise ConfigurationError("mu must be finite")
+    start, stop = int(start), int(stop)
+    if start < 0 or start % BLOCK or stop % BLOCK:
+        raise ConfigurationError(
+            f"start and stop must be nonnegative multiples of BLOCK={BLOCK}, got {start}, {stop}"
+        )
+    if stop <= start:
+        raise ConfigurationError(f"count must be positive, got stop - start = {stop - start}")
+    if not isinstance(model, NullModel) or model.kind == "empirical":
+        raise ConfigurationError(f"cannot sample from {model!r}")
+    if model.kind == "factor_normal" and mu.size > len(model.loadings):
+        raise ConfigurationError(
+            f"factor model has {len(model.loadings)} loadings, requested {mu.size}"
+        )
+    word = stream_word(seed, salt)
+    out = np.empty((stop - start, mu.size))
+    for row in range(0, stop - start, BLOCK):
+        _fill_block(model, mu, substream(word, (start + row) // BLOCK), out[row : row + BLOCK])
+    return out
 
 
 def draw_null_pvalues(model: NullModel, n_cols: int, count: int, seed: int):
-    """count x n_cols null p-values, chunked over counter-based substreams.
-
-    Chunking is fixed at CHUNK_SIZE rows, so the result depends only on
-    (model, n_cols, count, seed).
-    """
-    if n_cols < 1:
-        raise ConfigurationError("n_cols must be positive")
-    if model.kind == "factor_normal" and n_cols > len(model.loadings):
-        raise ConfigurationError(
-            f"factor model has {len(model.loadings)} loadings, requested {n_cols}"
-        )
-    word = stream_word(seed, MODEL_SALT)
-    out = np.empty((count, n_cols))
-    for index, start in enumerate(range(0, count, CHUNK_SIZE)):
-        stop = min(start + CHUNK_SIZE, count)
-        out[start:stop] = _draw_block(model, n_cols, stop - start, substream(word, index))
-    return out
+    """count x n_cols null p-values: the first count rows of the model stream."""
+    whole = -(-int(count) // BLOCK) * BLOCK
+    return draw(model, np.zeros(n_cols), 0, whole, seed, MODEL_SALT)[:count]
 
 
 def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> NullModel:
@@ -292,9 +320,15 @@ def _ecdf(sorted_values: np.ndarray, u: float) -> float:
 
 
 def _ecdf_quantile(sorted_values: np.ndarray, target: float) -> float:
-    # generalized inverse: smallest stored value with CDF >= target
-    idx = max(0, math.ceil(target * len(sorted_values)) - 1)
-    return float(sorted_values[idx])
+    # generalized inverse: smallest stored value with CDF >= target; below
+    # 1/size no stored value has its CDF that low, so none is an answer
+    size = len(sorted_values)
+    if target * size < 1.0:
+        raise ConvergenceError(
+            f"target {target:.6g} is below the resolution 1/{size} of a {size}-draw "
+            f"sample store; it needs at least {math.ceil(1.0 / target)} draws"
+        )
+    return float(sorted_values[math.ceil(target * size) - 1])
 
 
 def gk_evaluate(model: NullModel, k: int, u: float) -> float:
@@ -333,7 +367,8 @@ def gk_quantile(model: NullModel, k: int, target: float) -> float:
     """Solve G_k(q) = target for q in (0, 1).
 
     Analytic kinds invert by monotone root finding to a residual of at
-    most 1e-9; sample-backed kinds return the empirical quantile.
+    most 1e-9; sample-backed kinds return the empirical quantile and raise
+    ConvergenceError when target is below 1/(store size).
     """
     k = _validate_k(k)
     if not (0.0 < target < 1.0):

@@ -1,14 +1,28 @@
 """Seeded Monte Carlo laboratory for error rates and power curves.
 
-Samples are drawn one replication at a time from counter-based
-substreams keyed by (seed, replication index), so estimates are
-bit-identical for a fixed seed no matter how work is partitioned.
-Within a replication every configured procedure sees the same sample
-(common random numbers).
+Every replication's p-values come from models.draw, the package's one
+sampler. Replications are grouped into fixed blocks of models.BLOCK
+rows, and block b of a config draws from one counter-based Philox
+stream keyed by (stream_word(seed, SIMLAB_SALT), b). A replication's
+sample therefore depends only on the model, the mean vector, the seed
+and its index, never on n, the chunking or the thread count, so
+estimates are bit-identical for a fixed seed however the work is
+partitioned. Within a replication every configured procedure sees the
+same sample (common random numbers). A reps count that is not a
+multiple of BLOCK uses the leading rows of its last block.
 
-Draw order per replication, fixed by contract: n+1 standard normals
-(common factor first, then the n noise terms), followed by one
-chi-square draw for t models. Means are added after the t scaling.
+Draw order per block, fixed by contract (see models.draw):
+  independent        BLOCK x n uniforms are the null p-values; a column
+                     with mean mu_j != 0 becomes ndtr(ndtri(p) - mu_j)
+  equicorr / factor  BLOCK x (n+1) standard normals, row-major, common
+                     factor first; means added, then p = ndtr(-x)
+  t                  the same normals, then BLOCK chi-square draws from
+                     the same stream; means added after the t scaling,
+                     then p = stdtr(dof, -x)
+
+Two salts keep the streams of different subsystems apart when a user
+reuses one seed: SIMLAB_SALT here, models.MODEL_SALT for null-only draws
+(draw_null_pvalues: the bounds oracles and the t and empirical stores).
 
 Metrics, all proportions over replications:
   power_at_least_k        k or more rejections in total
@@ -22,27 +36,22 @@ Metrics, all proportions over replications:
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .critvals import critical_value_set
 from .errors import ConfigurationError
-from .models import NullModel, stream_word, substream
+from .models import BLOCK, NullModel, draw
 from . import models as _models
 
 __all__ = [
     "METRICS",
     "SIMLAB_SALT",
-    "SampleBatch",
     "ExperimentConfig",
     "MetricCell",
     "MetricsReport",
     "StudyOutcome",
-    "sample_equicorr_normal",
-    "sample_factor_normal",
-    "sample_equicorr_t",
     "run_experiment",
     "run_study",
     "canned_study_names",
@@ -61,8 +70,8 @@ METRICS = (
     "global_reject_rate",
 )
 
-# decision rule per procedure; single-step reuses the Hochberg-family k-th
-# constant, which solves C(n,k) G_k(c) = alpha
+# decision rule per procedure; single-step compares every p-value with the
+# k-th constant of its gen-Hochberg set, which solves C(n,k) G_k(c) = alpha
 _RULE = {
     "gen_simes": "stepup",
     "gen_hochberg_stepup": "stepup",
@@ -85,105 +94,6 @@ def rule_for(procedure: str) -> str:
         return _RULE[procedure]
     except KeyError:
         raise ConfigurationError(f"unknown procedure {procedure!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """One seeded batch: test statistics and their right-tailed p-values."""
-
-    pvalues: np.ndarray = field(repr=False)
-    statistics: np.ndarray = field(repr=False)
-    seed: int = 0
-
-
-def _mu_array(mu, n):
-    arr = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    if arr.size == 1:
-        arr = np.full(n, float(arr[0]))
-    if arr.shape != (n,):
-        raise ConfigurationError(f"mu must be scalar or length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError("mu must be finite")
-    return arr
-
-
-def _draw_batch(kind, lam, mu, dof, n, word, start, stop):
-    """Rows start..stop-1 of the replication stream; returns (X, P)."""
-    count = stop - start
-    x = np.empty((count, n))
-    noise_scale = np.sqrt(1.0 - np.square(lam))
-    if kind == "t":
-        denom = np.empty(count)
-        for idx in range(count):
-            g = substream(word, start + idx)
-            vals = g.standard_normal(n + 1)
-            x[idx] = lam * vals[0] + noise_scale * vals[1:]
-            denom[idx] = g.chisquare(dof)
-        x /= np.sqrt(denom / dof)[:, None]
-        x += mu
-        return x, stdtr(dof, -x)
-    for idx in range(count):
-        g = substream(word, start + idx)
-        vals = g.standard_normal(n + 1)
-        x[idx] = lam * vals[0] + noise_scale * vals[1:]
-    x += mu
-    return x, ndtr(-x)
-
-
-def sample_equicorr_normal(n, rho, mu, count, seed) -> SampleBatch:
-    """X_i = sqrt(rho) Y + sqrt(1-rho) Z_i + mu_i, P_i = 1 - Phi(X_i)."""
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError("n must be positive")
-    rho = float(rho)
-    if not (0.0 <= rho < 1.0):
-        raise ConfigurationError(f"rho must lie in [0, 1), got {rho!r}")
-    count = int(count)
-    if count < 1:
-        raise ConfigurationError("count must be positive")
-    mu_arr = _mu_array(mu, n)
-    word = stream_word(seed, SIMLAB_SALT)
-    x, p = _draw_batch("normal", math.sqrt(rho), mu_arr, 0, n, word, 0, count)
-    return SampleBatch(pvalues=p, statistics=x, seed=int(seed))
-
-
-def sample_factor_normal(loadings, mu, count, seed) -> SampleBatch:
-    """Single-factor normals X_i = lambda_i Y + sqrt(1-lambda_i^2) Z_i + mu_i."""
-    lam = np.asarray([float(v) for v in loadings])
-    if lam.ndim != 1 or lam.size < 1:
-        raise ConfigurationError("loadings must be a nonempty sequence")
-    if not np.all((lam > 0.0) & (lam < 1.0)):
-        raise ConfigurationError("every loading must lie strictly inside (0, 1)")
-    n = lam.size
-    count = int(count)
-    if count < 1:
-        raise ConfigurationError("count must be positive")
-    mu_arr = _mu_array(mu, n)
-    word = stream_word(seed, SIMLAB_SALT)
-    x, p = _draw_batch("normal", lam, mu_arr, 0, n, word, 0, count)
-    return SampleBatch(pvalues=p, statistics=x, seed=int(seed))
-
-
-def sample_equicorr_t(n, rho, dof, mu, count, seed) -> SampleBatch:
-    """Equicorrelated t: the normal construction divided by a shared
-    sqrt(chi2_dof/dof), means added after scaling; p-values from the
-    t upper tail so null marginals stay uniform."""
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError("n must be positive")
-    rho = float(rho)
-    if not (0.0 <= rho < 1.0):
-        raise ConfigurationError(f"rho must lie in [0, 1), got {rho!r}")
-    dof = int(dof)
-    if dof < 1:
-        raise ConfigurationError("dof must be a positive integer")
-    count = int(count)
-    if count < 1:
-        raise ConfigurationError("count must be positive")
-    mu_arr = _mu_array(mu, n)
-    word = stream_word(seed, SIMLAB_SALT)
-    x, p = _draw_batch("t", math.sqrt(rho), mu_arr, dof, n, word, 0, count)
-    return SampleBatch(pvalues=p, statistics=x, seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -307,27 +217,12 @@ class StudyOutcome:
 
 
 def _constants_for(procedure: str, cfg: ExperimentConfig):
-    if procedure == "gen_single_step":
-        return critical_value_set("gen_hochberg_stepup", cfg.n, cfg.k, cfg.alpha, cfg.model)
     return critical_value_set(procedure, cfg.n, cfg.k, cfg.alpha, cfg.model)
 
 
-def _model_draw_args(cfg: ExperimentConfig):
-    m = cfg.model
-    if m.kind == "independent":
-        return "normal", 0.0, 0
-    if m.kind == "equicorrelated_normal":
-        return "normal", math.sqrt(m.rho), 0
-    if m.kind == "factor_normal":
-        return "normal", np.asarray(m.loadings), 0
-    if m.kind == "equicorrelated_t":
-        return "t", math.sqrt(m.rho), m.dof
-    raise ConfigurationError(f"cannot sample from model kind {m.kind!r}")
-
-
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """Run one config: per-replication draws, every procedure applied to
-    the same sample, metric proportions with binomial standard errors."""
+    """Run one config: block-keyed draws, every procedure applied to the
+    same sample, metric proportions with binomial standard errors."""
     n, k, reps = cfg.n, cfg.k, cfg.reps
     pad = {}
     rule = {}
@@ -339,20 +234,19 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         else:
             pad[proc] = np.asarray(cset.padded)
 
-    kind, lam, dof = _model_draw_args(cfg)
     mean = cfg.mean_vector()
     true_mask = mean == 0.0
     n1 = int(np.count_nonzero(~true_mask))
-    word = stream_word(cfg.seed, SIMLAB_SALT)
 
     counts = {proc: dict.fromkeys(METRICS, 0) for proc in cfg.procedures}
     pw_sum = dict.fromkeys(cfg.procedures, 0.0)
     pw_sumsq = dict.fromkeys(cfg.procedures, 0.0)
 
-    chunk = max(1024, min(_models.CHUNK_SIZE, 4_000_000 // n))
+    chunk = BLOCK * max(1, min(32, 4_000_000 // (n * BLOCK)))
     for start in range(0, reps, chunk):
         stop = min(reps, start + chunk)
-        _, p = _draw_batch(kind, lam, mean, dof, n, word, start, stop)
+        whole = -(-stop // BLOCK) * BLOCK
+        p = draw(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
         order = np.argsort(p, axis=1, kind="stable")
         sp = np.take_along_axis(p, order, axis=1)
         cum_true = np.cumsum(true_mask[order], axis=1)

@@ -83,6 +83,16 @@ def test_critvals_t_model_spec(capsys):
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_critvals_t_model_below_store_resolution_exits_3(capsys):
+    # alpha_3's target 3.09e-7 lies below 1/200000, the store's resolution
+    code, out, err = run_cli(
+        capsys, "critvals", "--procedure", "gen-simes", "--n", "100",
+        "--k", "3", "--alpha", "0.05", "--model", "t:0.25:5:200000:7",
+    )
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "200000-draw" in err
+
+
 def test_critvals_usage_errors(capsys):
     code, _, err = run_cli(
         capsys, "critvals", "--procedure", "gen-simes", "--n", "1",
@@ -272,6 +282,30 @@ def test_simulate_config_list_form(tmp_path, capsys):
     assert code == 0
     studies = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert studies == {"one", "two"}
+
+
+def test_simulate_output_independent_of_thread_count(tmp_path, capsys, monkeypatch):
+    doc = {
+        "schema_version": 1,
+        "configs": [
+            {k: v for k, v in config_doc(name=f"c{i}", seed=20 + i, model=model).items()
+             if k != "schema_version"}
+            for i, model in enumerate((
+                {"kind": "independent"},
+                {"kind": "equicorr", "rho": 0.5},
+                {"kind": "factor", "loadings": [0.3, 0.5, 0.7, 0.9]},
+                {"kind": "t", "rho": 0.25, "dof": 5, "samples": 20_000, "seed": 3},
+            ))
+        ],
+    }
+    path = write_config(tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KFWER_THREADS", threads)
+        code, out, _ = run_cli(capsys, "simulate", "--config", path)
+        assert code == 0 and "# error" not in out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_study_filter(capsys):

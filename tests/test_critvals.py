@@ -152,6 +152,10 @@ def test_dependence_shrinks_small_constants():
 def test_dispatcher_and_validation():
     cs = critical_value_set("romano_stepdown", 8, 2, 0.05)
     assert cs.procedure == "romano_stepdown"
+    model = equicorrelated_normal(0.25)
+    cs = critical_value_set("gen_single_step", 8, 2, 0.05, model)
+    assert cs.procedure == "gen_single_step"
+    assert cs.values == gen_hochberg_critvals(8, 2, 0.05, model).values
     cs = critical_value_set("classic_simes", 8, 2, 0.05)
     assert cs.k == 1
     with pytest.raises(ConfigurationError):

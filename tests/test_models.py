@@ -5,6 +5,7 @@ import pytest
 
 from kfwer import (
     ConfigurationError,
+    ConvergenceError,
     SubsetIndex,
     draw_null_pvalues,
     equicorrelated_normal,
@@ -187,6 +188,14 @@ def test_empirical_build_from_callable_is_exact_ecdf():
     # generalized inverse: smallest stored value whose ECDF reaches the target
     q = gk_quantile(m, 2, 0.5)
     assert gk_evaluate(m, 2, q) >= 0.5
+
+
+def test_empirical_quantile_refuses_targets_below_store_resolution():
+    m = gk_empirical_build(independent(), k=2, sample_size=1000, seed=9)
+    with pytest.raises(ConvergenceError, match="at least 1000000 draws"):
+        gk_quantile(m, 2, 1e-6)
+    # at target = 1/N the smallest stored max is the exact generalized inverse
+    assert gk_quantile(m, 2, 1e-3) == float(m.sample_store[0])
 
 
 def test_empirical_build_rejects_wrong_k():

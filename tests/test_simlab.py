@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import kfwer
 from kfwer import (
@@ -13,6 +14,7 @@ from kfwer import (
     canned_study_configs,
     canned_study_names,
     critical_value_set,
+    draw,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
@@ -22,14 +24,13 @@ from kfwer import (
     rule_for,
     run_experiment,
     run_study,
-    sample_equicorr_normal,
-    sample_equicorr_t,
-    sample_factor_normal,
     single_step_apply,
     stepdown_apply,
     stepup_apply,
     thread_cap,
 )
+from kfwer.models import BLOCK
+from kfwer.simlab import SIMLAB_SALT
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +86,40 @@ def test_rule_mapping_is_total():
 # samplers
 
 
+def sample(model, mu, count, seed):
+    """The first count replications of a config's stream, as run_experiment
+    draws them: whole blocks from models.draw, trimmed to count rows."""
+    whole = -(-count // BLOCK) * BLOCK
+    return draw(model, mu, 0, whole, seed, SIMLAB_SALT)[:count]
+
+
+def statistics_of(p):
+    # exact up to rounding for the normal models: p = ndtr(-x)
+    return -ndtri(p)
+
+
+T_MODEL = equicorrelated_t(0.25, 7, 1000, 0)  # store size and seed unused by draw
+
+
 def test_samplers_are_deterministic():
-    a = sample_equicorr_normal(4, 0.25, 0.0, 200, seed=5)
-    b = sample_equicorr_normal(4, 0.25, 0.0, 200, seed=5)
-    assert np.array_equal(a.pvalues, b.pvalues)
-    c = sample_equicorr_t(4, 0.25, 7, 0.0, 200, seed=5)
-    d = sample_equicorr_t(4, 0.25, 7, 0.0, 200, seed=5)
-    assert np.array_equal(c.pvalues, d.pvalues)
+    a = sample(equicorrelated_normal(0.25), np.zeros(4), 200, seed=5)
+    b = sample(equicorrelated_normal(0.25), np.zeros(4), 200, seed=5)
+    assert np.array_equal(a, b)
+    c = sample(T_MODEL, np.zeros(4), 200, seed=5)
+    d = sample(T_MODEL, np.zeros(4), 200, seed=5)
+    assert np.array_equal(c, d)
 
 
 def test_sampler_mu_shifts_statistics():
-    base = sample_equicorr_normal(3, 0.0, 0.0, 100, seed=8).statistics
-    shifted = sample_equicorr_normal(3, 0.0, (1.0, 0.0, 0.0), 100, seed=8).statistics
+    model = equicorrelated_normal(0.0)
+    base = statistics_of(sample(model, np.zeros(3), 100, seed=8))
+    shifted = statistics_of(sample(model, (1.0, 0.0, 0.0), 100, seed=8))
     assert shifted[:, 0] == pytest.approx(base[:, 0] + 1.0)
     assert shifted[:, 1:] == pytest.approx(base[:, 1:])
 
 
 def test_sampler_independent_columns_uncorrelated():
-    x = sample_equicorr_normal(2, 0.0, 0.0, 100_000, seed=21).statistics
+    x = statistics_of(sample(equicorrelated_normal(0.0), np.zeros(2), 100_000, seed=21))
     r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
     assert abs(r) < 4 / math.sqrt(100_000)
 
@@ -111,7 +128,7 @@ def test_sampler_joint_tail_matches_gk():
     # Pr{max(P1, P2) <= u} should agree with the quadrature G_2
     model = equicorrelated_normal(0.5)
     u, reps = 0.1357, 200_000
-    p = sample_equicorr_normal(2, 0.5, 0.0, reps, seed=303).pvalues
+    p = sample(model, np.zeros(2), reps, seed=303)
     est = float(((p[:, 0] <= u) & (p[:, 1] <= u)).mean())
     want = gk_evaluate(model, 2, u)
     assert abs(est - want) < 4 * math.sqrt(want * (1 - want) / reps)
@@ -119,7 +136,7 @@ def test_sampler_joint_tail_matches_gk():
 
 def test_factor_sampler_cross_block_correlation():
     lo, hi = math.sqrt(0.25), math.sqrt(0.75)
-    x = sample_factor_normal((lo, hi), 0.0, 200_000, seed=44).statistics
+    x = statistics_of(sample(factor_normal((lo, hi)), np.zeros(2), 200_000, seed=44))
     r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
     assert r == pytest.approx(lo * hi, abs=0.01)
 
@@ -127,8 +144,36 @@ def test_factor_sampler_cross_block_correlation():
 def test_t_sampler_null_marginals_uniform():
     import scipy.stats
 
-    p = sample_equicorr_t(2, 0.25, 5, 0.0, 40_000, seed=66).pvalues
+    p = sample(equicorrelated_t(0.25, 5, 1000, 0), np.zeros(2), 40_000, seed=66)
     assert scipy.stats.kstest(p[:, 1], "uniform").pvalue > 1e-4
+
+
+@pytest.mark.parametrize("model,mu", [
+    (independent(), (0.0, 1.5, 0.0)),
+    (equicorrelated_normal(0.5), (0.0, 1.5, 0.0)),
+    (factor_normal((0.3, 0.6, 0.9)), (0.0, 1.5, 0.0)),
+    (T_MODEL, (0.0, 1.5, 0.0)),
+])
+def test_draw_is_independent_of_chunking(model, mu):
+    whole = draw(model, mu, 0, 3 * BLOCK, 17, SIMLAB_SALT)
+    parts = [draw(model, mu, b * BLOCK, (b + 1) * BLOCK, 17, SIMLAB_SALT) for b in range(3)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_draw_input_checks():
+    with pytest.raises(ConfigurationError):
+        draw(independent(), np.zeros(3), 0, BLOCK + 1, 1, SIMLAB_SALT)
+    with pytest.raises(ConfigurationError):
+        draw(independent(), np.zeros(3), BLOCK, BLOCK, 1, SIMLAB_SALT)
+    with pytest.raises(ConfigurationError):
+        draw(independent(), np.zeros(0), 0, BLOCK, 1, SIMLAB_SALT)
+    with pytest.raises(ConfigurationError):
+        draw(independent(), (0.0, math.inf), 0, BLOCK, 1, SIMLAB_SALT)
+    with pytest.raises(ConfigurationError):
+        draw(factor_normal((0.5, 0.5)), np.zeros(3), 0, BLOCK, 1, SIMLAB_SALT)
+    empirical = kfwer.gk_empirical_build(independent(), 2, 1000, 1)
+    with pytest.raises(ConfigurationError):
+        draw(empirical, np.zeros(2), 0, BLOCK, 1, SIMLAB_SALT)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +187,7 @@ def mirror_metrics(cfg):
     """Metric estimates recomputed one replication at a time through the
     decision-report API. Slow but uses none of the vectorized kernel."""
     mu = cfg.mean_vector()
-    if cfg.model.kind == "equicorrelated_t":
-        batch = sample_equicorr_t(cfg.n, cfg.model.rho, cfg.model.dof, mu,
-                                  cfg.reps, cfg.seed)
-    elif cfg.model.kind == "factor_normal":
-        batch = sample_factor_normal(cfg.model.loadings, mu, cfg.reps, cfg.seed)
-    else:
-        batch = sample_equicorr_normal(cfg.n, cfg.model.rho, mu, cfg.reps, cfg.seed)
+    pvalues = sample(cfg.model, mu, cfg.reps, cfg.seed)
     n1 = int((mu != 0).sum())
     out = {}
     for proc in cfg.procedures:
@@ -158,7 +197,7 @@ def mirror_metrics(cfg):
         counts = dict.fromkeys(METRICS, 0)
         prop_sum = 0.0
         for r in range(cfg.reps):
-            entries = tuple((f"h{j:02d}", float(batch.pvalues[r, j]))
+            entries = tuple((f"h{j:02d}", float(pvalues[r, j]))
                             for j in range(cfg.n))
             rep = APPLY[rule_for(proc)](PValueVector(entries), cset)
             rej = set(rep.rejected_ids())
@@ -202,6 +241,19 @@ def test_run_experiment_t_model_matches_decision_reports():
         assert report.value("lr_stepup", metric) == pytest.approx(
             want["lr_stepup"][metric], abs=1e-12, nan_ok=True
         )
+
+
+def test_run_experiment_reps_not_a_multiple_of_block():
+    cfg = ExperimentConfig(n=5, k=2, alpha=0.2, model=equicorrelated_normal(0.25),
+                           procedures=("gen_simes", "classic_holm"), reps=BLOCK + 476,
+                           seed=27, n1=2, effect=1.0)
+    report = run_experiment(cfg)
+    want = mirror_metrics(cfg)
+    for proc in cfg.procedures:
+        for metric in METRICS:
+            assert report.cell(proc, metric).reps == BLOCK + 476
+            assert report.value(proc, metric) == pytest.approx(
+                want[proc][metric], abs=1e-12), (proc, metric)
 
 
 def test_run_experiment_deterministic():

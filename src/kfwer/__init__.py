@@ -26,7 +26,9 @@ from .critvals import (
     gen_simes_critvals,
     gen_simes_critvals_closed_form,
     lr_critvals,
+    procedure_id,
     romano_critvals,
+    rule_for,
 )
 from .errors import (
     BracketingError,
@@ -72,14 +74,12 @@ from .procedures import (
 )
 from .simlab import (
     METRICS,
-    SIM_PROCEDURES,
     ExperimentConfig,
     MetricCell,
     MetricsReport,
     StudyOutcome,
     canned_study_configs,
     canned_study_names,
-    rule_for,
     run_experiment,
     run_study,
     thread_cap,
@@ -97,13 +97,13 @@ __all__ = [
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
     "gen_simes_critvals", "gen_simes_critvals_closed_form",
     "gen_hochberg_critvals", "lr_critvals", "romano_critvals",
-    "classic_critvals", "critical_value_set",
+    "classic_critvals", "critical_value_set", "procedure_id", "rule_for",
     "PValueVector", "DecisionRecord", "DecisionReport",
     "stepup_apply", "stepdown_apply", "single_step_apply", "global_simes_test",
     "CriticalVector", "ProbEstimate", "union_prob_mc", "lemma21_rhs_mc",
     "union_prob_exact_smalln", "bound_eq22", "bonferroni_eq23",
-    "METRICS", "SIM_PROCEDURES", "ExperimentConfig", "MetricCell",
-    "MetricsReport", "StudyOutcome", "rule_for", "run_experiment", "run_study",
+    "METRICS", "ExperimentConfig", "MetricCell",
+    "MetricsReport", "StudyOutcome", "run_experiment", "run_study",
     "thread_cap", "canned_study_names", "canned_study_configs",
     "CheckResult", "run_suite",
     "KfwerError", "DomainError", "ConfigurationError", "ScaleError",

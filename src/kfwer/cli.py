@@ -13,16 +13,14 @@ import json
 import re
 import sys
 
-from .critvals import critical_value_set
-from .errors import ConfigurationError, DomainError, KfwerError, NumericalError
+from .critvals import CLI_NAMES, critical_value_set, procedure_id, rule_for
+from .errors import ConfigurationError, KfwerError, NumericalError
 from .models import equicorrelated_normal, equicorrelated_t, factor_normal, independent
 from .procedures import PValueVector, single_step_apply, stepdown_apply, stepup_apply
 from .simlab import (
-    METRICS,
     ExperimentConfig,
     canned_study_configs,
     canned_study_names,
-    rule_for,
     run_study,
 )
 from .verify import SUITE_NAMES, run_suite
@@ -30,30 +28,6 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["main"]
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
-
-# hyphenated command-line names for the procedure ids
-_PROC_ALIASES = {
-    "gen-simes": "gen_simes",
-    "gen-hochberg": "gen_hochberg_stepup",
-    "gen-hochberg-stepup": "gen_hochberg_stepup",
-    "gen-holm": "gen_holm_stepdown",
-    "gen-holm-stepdown": "gen_holm_stepdown",
-    "lr-stepdown": "lr_stepdown",
-    "lr-stepup": "lr_stepup",
-    "romano": "romano_stepdown",
-    "romano-stepdown": "romano_stepdown",
-    "classic-simes": "classic_simes",
-    "classic-holm": "classic_holm",
-    "classic-hochberg": "classic_hochberg",
-    "gen-single-step": "gen_single_step",
-}
-
-
-def _resolve_procedure(name: str) -> str:
-    ident = _PROC_ALIASES.get(name, name.replace("-", "_"))
-    rule_for(ident)  # raises on unknown ids
-    return ident
-
 
 def _parse_model_spec(spec: str):
     parts = spec.split(":")
@@ -106,7 +80,7 @@ def _emit(text: str, out_path):
 
 
 def _cmd_critvals(args) -> int:
-    procedure = _resolve_procedure(args.procedure)
+    procedure = procedure_id(args.procedure)
     model = _parse_model_spec(args.model)
     cset = critical_value_set(procedure, args.n, args.k, args.alpha, model)
     lines = ["i,alpha_i,padded_c_i"]
@@ -156,7 +130,7 @@ _APPLIERS = {"stepup": stepup_apply, "stepdown": stepdown_apply, "single": singl
 
 
 def _cmd_apply(args) -> int:
-    procedure = _resolve_procedure(args.procedure)
+    procedure = procedure_id(args.procedure)
     entries = _read_pvalue_file(args.pvalues)
     n = len(entries)
     model = _parse_model_spec(args.model)
@@ -188,7 +162,7 @@ def _model_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigurationError("model must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ConfigurationError(
             f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KEYS)}"
         )
@@ -222,26 +196,20 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
     missing = _REQUIRED_KEYS - set(obj)
     if missing:
         raise ConfigurationError(f"config #{index}: missing keys {sorted(missing)}")
-    procedures = obj["procedures"]
-    if not isinstance(procedures, list):
-        raise ConfigurationError(f"config #{index}: procedures must be a list")
+    for key in ("procedures", "metrics"):
+        if not isinstance(obj.get(key, []), list):
+            raise ConfigurationError(f"config #{index}: {key} must be a list")
     kwargs = dict(
         n=obj["n"],
         k=obj["k"],
         alpha=obj["alpha"],
         model=_model_from_json(obj["model"]),
-        procedures=tuple(_resolve_procedure(str(p)) for p in procedures),
+        procedures=tuple(procedure_id(str(p)) for p in obj["procedures"]),
         reps=obj["reps"],
         seed=obj["seed"],
         name=str(obj.get("name", f"config{index}")),
-        metrics=tuple(obj["metrics"]) if "metrics" in obj else METRICS,
     )
-    if "mu" in obj:
-        kwargs["mu"] = tuple(obj["mu"])
-    if "n1" in obj:
-        kwargs["n1"] = obj["n1"]
-    if "effect" in obj:
-        kwargs["effect"] = obj["effect"]
+    kwargs.update((key, obj[key]) for key in ("mu", "n1", "effect", "metrics") if key in obj)
     return ExperimentConfig(**kwargs)
 
 
@@ -327,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("critvals", help="emit a critical-value table as CSV")
-    pc.add_argument("--procedure", required=True)
+    pc.add_argument("--procedure", required=True, help=", ".join(CLI_NAMES))
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--k", type=int, default=1)
     pc.add_argument("--alpha", type=float, required=True)
@@ -336,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_critvals)
 
     pa = sub.add_parser("apply", help="apply a procedure to a CSV of p-values")
-    pa.add_argument("--procedure", required=True)
+    pa.add_argument("--procedure", required=True, help=", ".join(CLI_NAMES))
     pa.add_argument("--pvalues", required=True)
     pa.add_argument("--k", type=int, default=1)
     pa.add_argument("--alpha", type=float, required=True)
@@ -374,16 +342,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KfwerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (KfwerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

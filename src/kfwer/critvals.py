@@ -8,9 +8,10 @@ the count of k or more errors, so the largest monotone choice is used.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .numerics import binomial_tail, find_root
 
 __all__ = [
     "PROCEDURES",
+    "REGISTRY",
+    "CLI_NAMES",
     "CriticalValueSet",
     "gen_simes_critvals",
     "gen_simes_critvals_closed_form",
@@ -28,24 +31,11 @@ __all__ = [
     "romano_critvals",
     "classic_critvals",
     "critical_value_set",
+    "procedure_id",
+    "rule_for",
 ]
 
-PROCEDURES = (
-    "gen_simes",
-    "gen_hochberg_stepup",
-    "gen_holm_stepdown",
-    "lr_stepdown",
-    "lr_stepup",
-    "romano_stepdown",
-    "classic_simes",
-    "classic_holm",
-    "classic_hochberg",
-    "gen_single_step",
-)
-
 CLASSIC_PROCEDURES = ("classic_simes", "classic_holm", "classic_hochberg")
-
-_HOCHBERG_FAMILY = ("gen_hochberg_stepup", "gen_holm_stepdown", "gen_single_step")
 
 
 @dataclass(frozen=True)
@@ -120,6 +110,8 @@ def _closed_form_hochberg(n, k, alpha, i):
 @lru_cache(maxsize=512)
 def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel | None,
                      force_inversion: bool) -> tuple:
+    if model is not None and model.kind == "factor_normal" and len(model.loadings) != n:
+        raise ConfigurationError(f"factor model has {len(model.loadings)} loadings but n={n}")
     use_closed_form = (
         model is None or model.kind == "independent"
     ) and not force_inversion
@@ -147,10 +139,6 @@ def gen_simes_critvals(n, k, alpha, model: NullModel, *, force_inversion=False) 
     verification suites use to cross-check the two paths.
     """
     n, k, alpha = _validate(n, k, alpha)
-    if model.kind == "factor_normal" and len(model.loadings) != n:
-        raise ConfigurationError(
-            f"factor model has {len(model.loadings)} loadings but n={n}"
-        )
     values = _stepwise_values("simes", n, k, alpha, model, bool(force_inversion))
     return _package("gen_simes", n, k, alpha, model, values)
 
@@ -162,23 +150,17 @@ def gen_simes_critvals_closed_form(n, k, alpha) -> CriticalValueSet:
     return _package("gen_simes", n, k, alpha, None, values)
 
 
-def gen_hochberg_critvals(n, k, alpha, model: NullModel, *, procedure="gen_hochberg_stepup",
+def gen_hochberg_critvals(n, k, alpha, model: NullModel, *,
                           force_inversion=False) -> CriticalValueSet:
     """Constants solving G_k(alpha_i) = alpha / C(n+k-i, k), i = k .. n.
 
     One set serves the generalized Holm stepdown, the generalized
     Hochberg stepup and the single-step rule (which uses only alpha_k);
-    the procedure label records which rule the set is built for.
+    critical_value_set labels it with the id it is requested for.
     """
     n, k, alpha = _validate(n, k, alpha)
-    if procedure not in _HOCHBERG_FAMILY:
-        raise ConfigurationError(f"unsupported procedure label {procedure!r}")
-    if model.kind == "factor_normal" and len(model.loadings) != n:
-        raise ConfigurationError(
-            f"factor model has {len(model.loadings)} loadings but n={n}"
-        )
     values = _stepwise_values("hochberg", n, k, alpha, model, bool(force_inversion))
-    return _package(procedure, n, k, alpha, model, values)
+    return _package("gen_hochberg_stepup", n, k, alpha, model, values)
 
 
 @lru_cache(maxsize=512)
@@ -186,12 +168,10 @@ def _lr_values(n, k, alpha):
     return tuple(k * alpha / (n - i + k) for i in range(k, n + 1))
 
 
-def lr_critvals(n, k, alpha, *, procedure="lr_stepdown") -> CriticalValueSet:
+def lr_critvals(n, k, alpha) -> CriticalValueSet:
     """Closed-form constants alpha_i = k * alpha / (n - i + k)."""
     n, k, alpha = _validate(n, k, alpha)
-    if procedure not in ("lr_stepdown", "lr_stepup"):
-        raise ConfigurationError(f"unsupported procedure label {procedure!r}")
-    return _package(procedure, n, k, alpha, None, _lr_values(n, k, alpha))
+    return _package("lr_stepdown", n, k, alpha, None, _lr_values(n, k, alpha))
 
 
 @lru_cache(maxsize=128)
@@ -226,22 +206,77 @@ def classic_critvals(procedure, n, alpha) -> CriticalValueSet:
     return _package(procedure, n, 1, alpha, None, values)
 
 
+class Procedure(NamedTuple):
+    """One registry entry: how a procedure's constants are built and applied."""
+
+    build: Callable  # (n, k, alpha, model) -> CriticalValueSet
+    rule: str  # "stepup", "stepdown" or "single" (every p-value against alpha_k)
+    short_names: tuple = ()  # command-line names besides the hyphenated id
+
+
+def _lr(n, k, alpha, model):
+    return lr_critvals(n, k, alpha)
+
+
+def _romano(n, k, alpha, model):
+    return romano_critvals(n, k, alpha)
+
+
+def _classic(procedure):
+    return lambda n, k, alpha, model: classic_critvals(procedure, n, alpha)
+
+
+# Ids sharing a builder share one constant set (the builders cache their
+# values), which critical_value_set labels with the requested id.
+REGISTRY = {
+    "gen_simes": Procedure(gen_simes_critvals, "stepup"),
+    "gen_hochberg_stepup": Procedure(gen_hochberg_critvals, "stepup", ("gen-hochberg",)),
+    "gen_holm_stepdown": Procedure(gen_hochberg_critvals, "stepdown", ("gen-holm",)),
+    "lr_stepdown": Procedure(_lr, "stepdown"),
+    "lr_stepup": Procedure(_lr, "stepup"),
+    "romano_stepdown": Procedure(_romano, "stepdown", ("romano",)),
+    "classic_simes": Procedure(_classic("classic_simes"), "stepup"),
+    "classic_holm": Procedure(_classic("classic_holm"), "stepdown"),
+    "classic_hochberg": Procedure(_classic("classic_hochberg"), "stepup"),
+    "gen_single_step": Procedure(gen_hochberg_critvals, "single"),
+}
+
+PROCEDURES = tuple(REGISTRY)
+
+CLI_NAMES = tuple(name for ident, e in REGISTRY.items()
+                  for name in (*e.short_names, ident.replace("_", "-")))
+
+_SHORT_NAMES = {name: ident for ident, e in REGISTRY.items() for name in e.short_names}
+
+
+def _entry(procedure) -> Procedure:
+    try:
+        return REGISTRY[procedure]
+    except KeyError:
+        raise ConfigurationError(f"unknown procedure {procedure!r}")
+
+
+def rule_for(procedure: str) -> str:
+    """Decision-rule kind (stepup, stepdown, single) for a procedure id."""
+    return _entry(procedure).rule
+
+
+def procedure_id(name: str) -> str:
+    """The procedure id for a command-line name: a short name, or an id
+    written with hyphens or underscores."""
+    ident = _SHORT_NAMES.get(name, name.replace("-", "_"))
+    if ident not in REGISTRY:
+        raise ConfigurationError(
+            f"unknown procedure {ident!r}; expected one of: {', '.join(CLI_NAMES)}"
+        )
+    return ident
+
+
 def critical_value_set(procedure, n, k, alpha, model: NullModel | None = None) -> CriticalValueSet:
-    """Build the critical value set for any named procedure.
+    """Build the critical value set for any procedure id in REGISTRY.
 
     Classic procedures are their own k = 1 sets and ignore k; the
     closed-form families (Lehmann-Romano, Romano) ignore the model.
     """
-    if procedure == "gen_simes":
-        return gen_simes_critvals(n, k, alpha, model if model is not None else independent())
-    if procedure in _HOCHBERG_FAMILY:
-        return gen_hochberg_critvals(
-            n, k, alpha, model if model is not None else independent(), procedure=procedure
-        )
-    if procedure in ("lr_stepdown", "lr_stepup"):
-        return lr_critvals(n, k, alpha, procedure=procedure)
-    if procedure == "romano_stepdown":
-        return romano_critvals(n, k, alpha)
-    if procedure in CLASSIC_PROCEDURES:
-        return classic_critvals(procedure, n, alpha)
-    raise ConfigurationError(f"unknown procedure {procedure!r}")
+    cset = _entry(procedure).build(n, k, alpha, independent() if model is None else model)
+    return cset if cset.procedure == procedure else replace(cset, procedure=procedure)

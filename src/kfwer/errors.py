@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument checks
+that raise them.
 
 The CLI maps these onto its exit-code contract: configuration and input
 problems exit 2, numerical failures exit 3.
 """
+
+from numbers import Integral, Real
 
 
 class KfwerError(Exception):
@@ -35,3 +38,25 @@ class ConvergenceError(NumericalError):
     def __init__(self, message, last_estimates=None):
         super().__init__(message)
         self.last_estimates = last_estimates
+
+
+def as_int(name, value) -> int:
+    """value as an int; bools, non-numbers and non-integral values raise."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        if isinstance(value, Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def as_float(name, value) -> float:
+    """value as a float; bools and non-numbers raise."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def as_floats(name, values) -> tuple:
+    """A sequence of numbers as a tuple of floats."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ConfigurationError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(as_float(name, v) for v in values)

@@ -31,7 +31,7 @@ from math import comb
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
-from .errors import ConfigurationError, ConvergenceError, DomainError
+from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
 from .numerics import DEFAULT_ACCURACY, find_root, integrate_gaussian
 
 __all__ = [
@@ -129,11 +129,11 @@ def independent() -> NullModel:
 
 
 def equicorrelated_normal(rho: float) -> NullModel:
-    return NullModel(kind="equicorrelated_normal", rho=float(rho))
+    return NullModel(kind="equicorrelated_normal", rho=as_float("rho", rho))
 
 
 def factor_normal(loadings) -> NullModel:
-    return NullModel(kind="factor_normal", loadings=tuple(float(x) for x in loadings))
+    return NullModel(kind="factor_normal", loadings=as_floats("loadings", loadings))
 
 
 def equicorrelated_t(rho: float, dof: int, sample_size: int, seed: int) -> NullModel:
@@ -143,13 +143,14 @@ def equicorrelated_t(rho: float, dof: int, sample_size: int, seed: int) -> NullM
     for the life of the process; sample_size of 10**7 keeps the CDF
     error near 1e-4.
     """
+    sample_size = as_int("sample_size", sample_size)
     if sample_size < 1000:
         raise ConfigurationError("sample_size below 1000 is too small to be useful")
     return NullModel(
         kind="equicorrelated_t",
-        rho=float(rho),
-        dof=int(dof),
-        store_token=(int(sample_size), int(seed)),
+        rho=as_float("rho", rho),
+        dof=as_int("dof", dof),
+        store_token=(sample_size, as_int("seed", seed)),
     )
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critvals import critical_value_set
-from .errors import ConfigurationError
+from .critvals import critical_value_set, rule_for
+from .errors import ConfigurationError, as_float, as_floats, as_int
 from .models import BLOCK, NullModel, draw
 from . import models as _models
 
@@ -70,32 +70,6 @@ METRICS = (
     "global_reject_rate",
 )
 
-# decision rule per procedure; single-step compares every p-value with the
-# k-th constant of its gen-Hochberg set, which solves C(n,k) G_k(c) = alpha
-_RULE = {
-    "gen_simes": "stepup",
-    "gen_hochberg_stepup": "stepup",
-    "gen_holm_stepdown": "stepdown",
-    "lr_stepdown": "stepdown",
-    "lr_stepup": "stepup",
-    "romano_stepdown": "stepdown",
-    "classic_simes": "stepup",
-    "classic_holm": "stepdown",
-    "classic_hochberg": "stepup",
-    "gen_single_step": "single",
-}
-
-SIM_PROCEDURES = tuple(_RULE)
-
-
-def rule_for(procedure: str) -> str:
-    """Decision-rule kind (stepup, stepdown, single) for a procedure id."""
-    try:
-        return _RULE[procedure]
-    except KeyError:
-        raise ConfigurationError(f"unknown procedure {procedure!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation cell: model, effect layout, procedures, metrics.
@@ -120,12 +94,12 @@ class ExperimentConfig:
     metrics: tuple = METRICS
 
     def __post_init__(self):
-        n, k = int(self.n), int(self.k)
+        n, k = as_int("n", self.n), as_int("k", self.k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         if n < 1 or not (1 <= k <= n):
             raise ConfigurationError(f"need 1 <= k <= n, got k={k}, n={n}")
-        alpha = float(self.alpha)
+        alpha = as_float("alpha", self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if not (0.0 < alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -142,15 +116,14 @@ class ExperimentConfig:
         if not procedures:
             raise ConfigurationError("at least one procedure is required")
         for proc in procedures:
-            if proc not in _RULE:
-                raise ConfigurationError(f"unknown procedure {proc!r}")
+            rule_for(proc)  # raises on unknown ids
         if len(set(procedures)) != len(procedures):
             raise ConfigurationError("duplicate procedure in config")
-        reps = int(self.reps)
+        reps = as_int("reps", self.reps)
         object.__setattr__(self, "reps", reps)
         if reps < 1000:
             raise ConfigurationError(f"reps must be at least 1000, got {reps}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_int("seed", self.seed))
         metrics = tuple(self.metrics)
         object.__setattr__(self, "metrics", metrics)
         if not metrics:
@@ -161,18 +134,18 @@ class ExperimentConfig:
         if self.mu is not None and self.n1 is not None:
             raise ConfigurationError("give either an explicit mu vector or n1, not both")
         if self.mu is not None:
-            mu = tuple(float(v) for v in self.mu)
+            mu = as_floats("mu", self.mu)
             object.__setattr__(self, "mu", mu)
             if len(mu) != n:
                 raise ConfigurationError(f"mu must have length n={n}, got {len(mu)}")
             if not all(math.isfinite(v) for v in mu):
                 raise ConfigurationError("mu must be finite")
         else:
-            n1 = 0 if self.n1 is None else int(self.n1)
+            n1 = 0 if self.n1 is None else as_int("n1", self.n1)
             object.__setattr__(self, "n1", n1)
             if not (0 <= n1 <= n):
                 raise ConfigurationError(f"need 0 <= n1 <= n, got n1={n1}")
-            effect = float(self.effect)
+            effect = as_float("effect", self.effect)
             object.__setattr__(self, "effect", effect)
             if not math.isfinite(effect):
                 raise ConfigurationError("effect must be finite")
@@ -228,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     rule = {}
     for proc in cfg.procedures:
         cset = _constants_for(proc, cfg)
-        rule[proc] = _RULE[proc]
+        rule[proc] = rule_for(proc)
         if rule[proc] == "single":
             pad[proc] = np.full(n, cset.value_at(cfg.k))
         else:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .bounds import CriticalVector, lemma21_rhs_mc, union_prob_exact_smalln, union_prob_mc
 from .critvals import (
+    critical_value_set,
     gen_hochberg_critvals,
     gen_simes_critvals,
     gen_simes_critvals_closed_form,
@@ -233,7 +234,7 @@ def suite_dominance(seed: int = DEFAULT_SEED):
 
     n, k, alpha = 10, 2, 0.05
     gh_set = gen_hochberg_critvals(n, k, alpha, independent())
-    lr_set = lr_critvals(n, k, alpha, procedure="lr_stepup")
+    lr_set = critical_value_set("lr_stepup", n, k, alpha)
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(1000):
@@ -304,10 +305,7 @@ def run_suite(name: str, seed: int | None = None):
     """Run one suite (or all) and return its CheckResult rows."""
     seed = DEFAULT_SEED if seed is None else int(seed)
     if name == "all":
-        out = []
-        for key in ("table1", "table2", "lemma21", "exactness", "dominance", "monotonicity"):
-            out.extend(SUITES[key](seed))
-        return out
+        return [row for suite in SUITES.values() for row in suite(seed)]
     fn = SUITES.get(name)
     if fn is None:
         raise ConfigurationError(

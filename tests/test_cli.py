@@ -118,6 +118,7 @@ def test_critvals_usage_errors(capsys):
         "--k", "2", "--alpha", "0.05",
     )
     assert code == 2
+    assert "unknown procedure" in err and "gen-hochberg" in err
 
 
 def test_critvals_out_file(tmp_path, capsys):
@@ -354,6 +355,34 @@ def test_simulate_schema_and_key_validation(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
     assert code == 2 and "invalid JSON" in err
+
+
+_T_MODEL = {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3}
+
+
+@pytest.mark.parametrize("override,fragment", [
+    ({"n": 10.5}, "n must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"alpha": "0.05"}, "alpha must be a number"),
+    ({"reps": 1000.5}, "reps must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"n1": "ten"}, "n1 must be an integer"),
+    ({"effect": None}, "effect must be a number"),
+    ({"mu": [0.0, "x", 0.0, 0.0]}, "mu must be a number"),
+    ({"metrics": None}, "metrics must be a list"),
+    ({"model": {"kind": "equicorr", "rho": "abc"}}, "rho must be a number"),
+    ({"model": {**_T_MODEL, "dof": 5.5}}, "dof must be an integer"),
+    ({"model": {**_T_MODEL, "samples": "many"}}, "sample_size must be an integer"),
+    ({"model": {**_T_MODEL, "seed": 3.5}}, "seed must be an integer"),
+    ({"model": {"kind": "factor", "loadings": 0.5}}, "loadings must be a list"),
+    ({"model": {"kind": ["t"]}}, "unknown model kind"),
+])
+def test_simulate_rejects_bad_field_values(tmp_path, capsys, override, fragment):
+    # values are never truncated or coerced from strings; each is a usage error
+    path = write_config(tmp_path, config_doc(**override))
+    code, out, err = run_cli(capsys, "simulate", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and fragment in err
 
 
 def test_simulate_all_failures_exit_3(tmp_path, capsys, monkeypatch):

@@ -53,7 +53,7 @@ def test_shared_top_constant_across_stepup_families():
 
 
 def test_lr_constants_are_rational_closed_form():
-    cs = lr_critvals(10, 2, 0.05, procedure="lr_stepup")
+    cs = critical_value_set("lr_stepup", 10, 2, 0.05)
     assert cs.value_at(2) == pytest.approx(0.01, rel=1e-14)
     assert cs.value_at(10) == pytest.approx(0.05, rel=1e-14)
     assert cs.value_at(6) == pytest.approx(2 * 0.05 / 6, rel=1e-14)
@@ -61,9 +61,9 @@ def test_lr_constants_are_rational_closed_form():
 
 def test_lr_label_choices():
     assert lr_critvals(5, 2, 0.1).procedure == "lr_stepdown"
-    assert lr_critvals(5, 2, 0.1, procedure="lr_stepup").procedure == "lr_stepup"
+    assert critical_value_set("lr_stepup", 5, 2, 0.1).procedure == "lr_stepup"
     with pytest.raises(ConfigurationError):
-        lr_critvals(5, 2, 0.1, procedure="lr_sideways")
+        critical_value_set("lr_sideways", 5, 2, 0.1)
 
 
 def test_romano_constants_solve_binomial_tail():
@@ -153,6 +153,8 @@ def test_dispatcher_and_validation():
     cs = critical_value_set("romano_stepdown", 8, 2, 0.05)
     assert cs.procedure == "romano_stepdown"
     model = equicorrelated_normal(0.25)
+    for proc in PROCEDURES:
+        assert critical_value_set(proc, 8, 2, 0.05, model).procedure == proc
     cs = critical_value_set("gen_single_step", 8, 2, 0.05, model)
     assert cs.procedure == "gen_single_step"
     assert cs.values == gen_hochberg_critvals(8, 2, 0.05, model).values

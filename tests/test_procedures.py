@@ -5,6 +5,7 @@ from kfwer import (
     ConfigurationError,
     PValueVector,
     classic_critvals,
+    critical_value_set,
     gen_simes_critvals,
     global_simes_test,
     independent,
@@ -49,7 +50,7 @@ def test_classic_hochberg_hand_example():
 
 def test_stepup_boundary_is_inclusive():
     # p exactly at its constant counts as a hit
-    cs = lr_critvals(4, 2, 0.05, procedure="lr_stepup")
+    cs = critical_value_set("lr_stepup", 4, 2, 0.05)
     top = cs.value_at(4)
     rep = stepup_apply(vec(("a", top), ("b", top), ("c", top), ("d", top)), cs)
     assert rep.num_rejected == 4

@@ -7,7 +7,7 @@ from scipy.special import ndtri
 import kfwer
 from kfwer import (
     METRICS,
-    SIM_PROCEDURES,
+    PROCEDURES,
     ConfigurationError,
     ExperimentConfig,
     PValueVector,
@@ -21,6 +21,7 @@ from kfwer import (
     gen_hochberg_critvals,
     gk_evaluate,
     independent,
+    procedure_id,
     rule_for,
     run_experiment,
     run_study,
@@ -29,6 +30,7 @@ from kfwer import (
     stepup_apply,
     thread_cap,
 )
+from kfwer.critvals import REGISTRY
 from kfwer.models import BLOCK
 from kfwer.simlab import SIMLAB_SALT
 
@@ -73,8 +75,11 @@ def test_mean_vector_places_effect_on_leading_indices():
 
 
 def test_rule_mapping_is_total():
-    for proc in SIM_PROCEDURES:
+    for proc in PROCEDURES:
         assert rule_for(proc) in ("stepup", "stepdown", "single")
+        assert critical_value_set(proc, 6, 2, 0.05).procedure == proc
+        for name in (*REGISTRY[proc].short_names, proc.replace("_", "-"), proc):
+            assert procedure_id(name) == proc
     assert rule_for("gen_simes") == "stepup"
     assert rule_for("gen_holm_stepdown") == "stepdown"
     assert rule_for("gen_single_step") == "single"

@@ -207,7 +207,7 @@ def _config_from_json(obj, index: int) -> ExperimentConfig:
         procedures=tuple(procedure_id(str(p)) for p in obj["procedures"]),
         reps=obj["reps"],
         seed=obj["seed"],
-        name=str(obj.get("name", f"config{index}")),
+        name=obj.get("name", f"config{index}"),
     )
     kwargs.update((key, obj[key]) for key in ("mu", "n1", "effect", "metrics") if key in obj)
     return ExperimentConfig(**kwargs)
@@ -218,7 +218,8 @@ def _load_config_file(path: str):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
-    if doc.get("schema_version") != 1:
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != 1:
         raise ConfigurationError(f"{path}: schema_version must be 1")
     if "configs" in doc:
         extra = set(doc) - {"schema_version", "configs"}

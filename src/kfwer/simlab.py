@@ -33,6 +33,7 @@ Metrics, all proportions over replications:
   global_reject_rate      at least one rejection
 """
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +104,8 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha", alpha)
         if not (0.0 < alpha < 1.0):
             raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.model, NullModel):
             raise ConfigurationError("model must be a NullModel")
         if self.model.kind == "empirical":
@@ -195,21 +198,33 @@ def _constants_for(procedure: str, cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run one config: block-keyed draws, every procedure applied to the
-    same sample, metric proportions with binomial standard errors."""
+    same sample, metric proportions with binomial standard errors.
+
+    Rows are sorted by value only. On a sorted row sp each rule finds its
+    rejection count nrej and rejects the nrej smallest p-values. As the
+    padded constants are nondecreasing, no tie straddles sp_nrej and
+    sp_{nrej+1}: for step-up, sp_{nrej+1} = sp_nrej <= c_nrej <= c_{nrej+1}
+    would make nrej + 1 qualify; step-down has sp_nrej < c_nrej <=
+    c_{nrej+1} <= sp_{nrej+1}; single-step has sp_nrej <= c_k < sp_{nrej+1}.
+    The rejected set is thus exactly {j : p_j <= sp_nrej} (empty if
+    nrej = 0), and one threshold comparison on the unsorted columns counts
+    the true nulls rejected. It runs over the smaller of the true and
+    false nulls, so it has no columns to compare when n1 = 0 or n1 = n.
+    """
     n, k, reps = cfg.n, cfg.k, cfg.reps
     pad = {}
     rule = {}
     for proc in cfg.procedures:
         cset = _constants_for(proc, cfg)
         rule[proc] = rule_for(proc)
-        if rule[proc] == "single":
-            pad[proc] = np.full(n, cset.value_at(cfg.k))
-        else:
-            pad[proc] = np.asarray(cset.padded)
+        pad[proc] = (cset.value_at(cfg.k) if rule[proc] == "single"
+                     else np.asarray(cset.padded))
 
     mean = cfg.mean_vector()
     true_mask = mean == 0.0
     n1 = int(np.count_nonzero(~true_mask))
+    few_true = 2 * n1 > n
+    few = true_mask if few_true else ~true_mask
 
     counts = {proc: dict.fromkeys(METRICS, 0) for proc in cfg.procedures}
     pw_sum = dict.fromkeys(cfg.procedures, 0.0)
@@ -219,23 +234,23 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     for start in range(0, reps, chunk):
         stop = min(reps, start + chunk)
         whole = -(-stop // BLOCK) * BLOCK
-        p = draw(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
-        order = np.argsort(p, axis=1, kind="stable")
-        sp = np.take_along_axis(p, order, axis=1)
-        cum_true = np.cumsum(true_mask[order], axis=1)
+        sp = draw(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
+        p_few = sp[:, few]
+        sp.sort(axis=1)  # in place, after p_few copied the unsorted columns
         rows = np.arange(sp.shape[0])
         for proc in cfg.procedures:
-            ok = sp <= pad[proc]
             r = rule[proc]
             if r == "stepup":
-                rev = ok[:, ::-1]
+                rev = (sp <= pad[proc])[:, ::-1]
                 nrej = np.where(rev.any(axis=1), n - rev.argmax(axis=1), 0)
             elif r == "stepdown":
                 failed = sp >= pad[proc]
                 nrej = np.where(failed.any(axis=1), failed.argmax(axis=1), n)
             else:
-                nrej = ok.sum(axis=1)
-            t_rej = np.where(nrej > 0, cum_true[rows, np.maximum(nrej - 1, 0)], 0)
+                nrej = (sp <= pad[proc]).sum(axis=1)
+            thr = np.where(nrej > 0, sp[rows, nrej - 1], -np.inf)
+            hits = (p_few <= thr[:, None]).sum(axis=1)
+            t_rej = hits if few_true else nrej - hits
             f_rej = nrej - t_rej
             c = counts[proc]
             c["power_at_least_k"] += int((nrej >= k).sum())
@@ -310,51 +325,41 @@ def _rho_token(rho: float) -> str:
 
 
 def _study_fig1():
-    out = []
-    idx = 0
-    for k in (2, 3):
-        for rho in (0.0, 0.25, 0.5, 0.75):
-            for n1 in range(0, 11):
-                out.append(
-                    ExperimentConfig(
-                        n=10,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_simes", "classic_simes"),
-                        reps=50_000,
-                        seed=101_000 + idx,
-                        name=f"fig1-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-                        n1=n1,
-                        metrics=("power_at_least_k", "kfwer"),
-                    )
-                )
-                idx += 1
-    return out
+    grid = itertools.product((2, 3), (0.0, 0.25, 0.5, 0.75), range(0, 11))
+    return [
+        ExperimentConfig(
+            n=10,
+            k=k,
+            alpha=0.05,
+            model=_models.equicorrelated_normal(rho),
+            procedures=("gen_simes", "classic_simes"),
+            reps=50_000,
+            seed=101_000 + idx,
+            name=f"fig1-rho{_rho_token(rho)}-k{k}-n1_{n1}",
+            n1=n1,
+            metrics=("power_at_least_k", "kfwer"),
+        )
+        for idx, (k, rho, n1) in enumerate(grid)
+    ]
 
 
 def _study_fig2():
-    out = []
-    idx = 0
-    for k in (2, 3):
-        for rho in (0.0, 0.1, 0.25, 0.5, 0.75):
-            for n1 in (10, 25, 50, 75, 90):
-                out.append(
-                    ExperimentConfig(
-                        n=100,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-                        reps=20_000,
-                        seed=102_000 + idx,
-                        name=f"fig2-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-                        n1=n1,
-                        metrics=("ave_power", "kfwer", "power_at_least_k"),
-                    )
-                )
-                idx += 1
-    return out
+    grid = itertools.product((2, 3), (0.0, 0.1, 0.25, 0.5, 0.75), (10, 25, 50, 75, 90))
+    return [
+        ExperimentConfig(
+            n=100,
+            k=k,
+            alpha=0.05,
+            model=_models.equicorrelated_normal(rho),
+            procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
+            reps=20_000,
+            seed=102_000 + idx,
+            name=f"fig2-rho{_rho_token(rho)}-k{k}-n1_{n1}",
+            n1=n1,
+            metrics=("ave_power", "kfwer", "power_at_least_k"),
+        )
+        for idx, (k, rho, n1) in enumerate(grid)
+    ]
 
 
 def _fig3_loadings():
@@ -363,95 +368,78 @@ def _fig3_loadings():
 
 def _study_fig3():
     # two-block factor model; effects sit on the high-loading (last) block
-    out = []
-    for idx, n1 in enumerate((0, 2, 5, 10, 15, 20)):
-        mu = [0.0] * (20 - n1) + [2.0] * n1
-        out.append(
-            ExperimentConfig(
-                n=20,
-                k=2,
-                alpha=0.05,
-                model=_models.factor_normal(_fig3_loadings()),
-                procedures=("gen_simes", "classic_simes"),
-                reps=20_000,
-                seed=103_000 + idx,
-                name=f"fig3-k2-n1_{n1}",
-                mu=tuple(mu),
-                metrics=("power_at_least_k", "power_at_least_k_false", "kfwer"),
-            )
+    return [
+        ExperimentConfig(
+            n=20,
+            k=2,
+            alpha=0.05,
+            model=_models.factor_normal(_fig3_loadings()),
+            procedures=("gen_simes", "classic_simes"),
+            reps=20_000,
+            seed=103_000 + idx,
+            name=f"fig3-k2-n1_{n1}",
+            mu=(0.0,) * (20 - n1) + (2.0,) * n1,
+            metrics=("power_at_least_k", "power_at_least_k_false", "kfwer"),
         )
-    return out
+        for idx, n1 in enumerate((0, 2, 5, 10, 15, 20))
+    ]
 
 
 def _study_fig4():
-    out = []
-    idx = 0
-    for dof in (2, 5, 10, 30):
-        model = _models.equicorrelated_t(0.25, dof, 2_000_000, 424_242)
-        for n1 in (0, 2, 5, 8, 10):
-            out.append(
-                ExperimentConfig(
-                    n=10,
-                    k=2,
-                    alpha=0.05,
-                    model=model,
-                    procedures=("gen_simes", "classic_simes"),
-                    reps=20_000,
-                    seed=104_000 + idx,
-                    name=f"fig4-rho0.25-k2-dof{dof}-n1_{n1}",
-                    n1=n1,
-                    metrics=("power_at_least_k", "kfwer"),
-                )
-            )
-            idx += 1
-    return out
+    grid = itertools.product((2, 5, 10, 30), (0, 2, 5, 8, 10))
+    return [
+        ExperimentConfig(
+            n=10,
+            k=2,
+            alpha=0.05,
+            model=_models.equicorrelated_t(0.25, dof, 2_000_000, 424_242),
+            procedures=("gen_simes", "classic_simes"),
+            reps=20_000,
+            seed=104_000 + idx,
+            name=f"fig4-rho0.25-k2-dof{dof}-n1_{n1}",
+            n1=n1,
+            metrics=("power_at_least_k", "kfwer"),
+        )
+        for idx, (dof, n1) in enumerate(grid)
+    ]
 
 
 def _study_fig5():
-    out = []
-    idx = 0
-    for k in (10, 25):
-        for n1 in (100, 250, 500, 750, 900):
-            out.append(
-                ExperimentConfig(
-                    n=1000,
-                    k=k,
-                    alpha=0.05,
-                    model=_models.independent(),
-                    procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-                    reps=20_000,
-                    seed=105_000 + idx,
-                    name=f"fig5-rho0-k{k}-n1_{n1}",
-                    n1=n1,
-                    metrics=("ave_power", "kfwer"),
-                )
-            )
-            idx += 1
-    return out
+    grid = itertools.product((10, 25), (100, 250, 500, 750, 900))
+    return [
+        ExperimentConfig(
+            n=1000,
+            k=k,
+            alpha=0.05,
+            model=_models.independent(),
+            procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
+            reps=20_000,
+            seed=105_000 + idx,
+            name=f"fig5-rho0-k{k}-n1_{n1}",
+            n1=n1,
+            metrics=("ave_power", "kfwer"),
+        )
+        for idx, (k, n1) in enumerate(grid)
+    ]
 
 
 def _study_table2():
-    out = []
-    idx = 0
-    for n in (10, 20):
-        for k in (2, 3):
-            for rho in (0.0, 0.25, 0.5, 0.75):
-                out.append(
-                    ExperimentConfig(
-                        n=n,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_simes",),
-                        reps=50_000,
-                        seed=106_000 + idx,
-                        name=f"table2-rho{_rho_token(rho)}-k{k}-n{n}",
-                        n1=0,
-                        metrics=("partial_rejections", "kfwer"),
-                    )
-                )
-                idx += 1
-    return out
+    grid = itertools.product((10, 20), (2, 3), (0.0, 0.25, 0.5, 0.75))
+    return [
+        ExperimentConfig(
+            n=n,
+            k=k,
+            alpha=0.05,
+            model=_models.equicorrelated_normal(rho),
+            procedures=("gen_simes",),
+            reps=50_000,
+            seed=106_000 + idx,
+            name=f"table2-rho{_rho_token(rho)}-k{k}-n{n}",
+            n1=0,
+            metrics=("partial_rejections", "kfwer"),
+        )
+        for idx, (n, k, rho) in enumerate(grid)
+    ]
 
 
 _STUDIES = {

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process through cli.main."""
 
 import json
+import os
 
 import pytest
 
@@ -317,6 +318,19 @@ def test_simulate_study_filter(capsys):
     assert all(line.split(",")[0].startswith("fig1-rho0.75-k3") for line in lines)
 
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2"])
+def test_simulate_study_output_matches_golden(capsys, study):
+    # the determinism contract: a canned study's CSV never changes by a byte
+    # unless its decisions or streams change on purpose
+    code, out, err = run_cli(capsys, "simulate", "--study", study)
+    assert code == 0 and err == ""
+    with open(os.path.join(DATA, f"simulate_{study}.csv"), encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+
+
 def test_simulate_flag_xor(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate")
     assert code == 2 and "exactly one" in err
@@ -355,6 +369,21 @@ def test_simulate_schema_and_key_validation(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
     assert code == 2 and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("doc,fragment", [
+    (config_doc(schema_version=True), "schema_version must be 1"),
+    (config_doc(name=None), "name must be a string"),
+    (config_doc(name=7), "name must be a string"),
+    ({"schema_version": 1, "configs": [{k: v for k, v in config_doc(name=None).items()
+                                        if k != "schema_version"}]},
+     "name must be a string"),
+])
+def test_simulate_rejects_bool_schema_version_and_non_string_name(tmp_path, capsys, doc,
+                                                                   fragment):
+    code, out, err = run_cli(capsys, "simulate", "--config", write_config(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and fragment in err
 
 
 _T_MODEL = {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -259,6 +260,60 @@ def test_run_experiment_reps_not_a_multiple_of_block():
             assert report.cell(proc, metric).reps == BLOCK + 476
             assert report.value(proc, metric) == pytest.approx(
                 want[proc][metric], abs=1e-12), (proc, metric)
+
+
+TIE_PROCEDURES = ("gen_simes", "classic_hochberg", "gen_holm_stepdown", "lr_stepdown",
+                  "gen_single_step")
+
+
+@pytest.mark.parametrize("decimals", [1, 2])
+@pytest.mark.parametrize("n1", [0, 2, 5, 6])
+def test_run_experiment_exact_under_heavy_ties(monkeypatch, decimals, n1):
+    # p-values and constants on one coarse grid tie with each other and with
+    # the constants; the kernel must still count exactly what the scalar
+    # rules reject, whichever of true and false nulls it counts over
+    def rounded_draw(model, mu, start, stop, seed, salt):
+        return np.round(draw(model, mu, start, stop, seed, salt), decimals)
+
+    def rounded_constants(proc, cfg):
+        cset = critical_value_set(proc, cfg.n, cfg.k, cfg.alpha, cfg.model)
+        return dataclasses.replace(
+            cset,
+            values=tuple(np.round(cset.values, decimals)),
+            padded=tuple(np.round(cset.padded, decimals)),
+        )
+
+    monkeypatch.setattr(kfwer.simlab, "draw", rounded_draw)
+    monkeypatch.setattr(kfwer.simlab, "_constants_for", rounded_constants)
+    cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=equicorrelated_normal(0.5),
+                           procedures=TIE_PROCEDURES, reps=1000, seed=41, n1=n1,
+                           effect=1.0)
+    report = run_experiment(cfg)
+
+    mu = cfg.mean_vector()
+    pvalues = rounded_draw(cfg.model, mu, 0, BLOCK, cfg.seed, SIMLAB_SALT)[: cfg.reps]
+    assert len(np.unique(pvalues)) <= 10 ** decimals + 1
+    for proc in cfg.procedures:
+        cset = rounded_constants(proc, cfg)
+        counts = dict.fromkeys(set(METRICS) - {"ave_power"}, 0)
+        prop_sum = 0.0
+        for row in pvalues:
+            pvec = PValueVector(tuple((f"h{j}", float(p)) for j, p in enumerate(row)))
+            rej = set(APPLY[rule_for(proc)](pvec, cset).rejected_ids())
+            false_rej = sum(1 for j in range(cfg.n) if mu[j] != 0 and f"h{j}" in rej)
+            true_rej = len(rej) - false_rej
+            counts["power_at_least_k"] += len(rej) >= cfg.k
+            counts["power_at_least_k_false"] += false_rej >= cfg.k
+            counts["kfwer"] += true_rej >= cfg.k
+            counts["partial_rejections"] += 1 <= true_rej < cfg.k
+            counts["global_reject_rate"] += len(rej) >= 1
+            prop_sum += false_rej / n1 if n1 else 0.0
+        for metric, count in counts.items():
+            assert report.value(proc, metric) == pytest.approx(
+                count / cfg.reps, abs=1e-12), (proc, metric)
+        want_power = prop_sum / cfg.reps if n1 else float("nan")
+        assert report.value(proc, "ave_power") == pytest.approx(
+            want_power, abs=1e-12, nan_ok=True), proc
 
 
 def test_run_experiment_deterministic():

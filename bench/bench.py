@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Before/after numbers for a performance change: writes BENCH_<label>.json.
 
-    python3 bench/bench.py --label NAME --side parent=DIR --side change=DIR
+    python3 bench/bench.py --label NAME --parent DIR --change DIR
 
 Each DIR is a source checkout of kfwer (for example a `git archive` of
-the parent commit, and this working tree). For every side, on this
-machine and one run at a time, the script measures:
+the parent commit, and of the change). On this machine, one run at a
+time, the script makes one pass per seed in SEEDS over both checkouts,
+and in each pass measures:
 
 - the four benchmark workloads, `python3 perfbench/run.py --workload W
-  --seed S --seconds 15 --trace 0` run from that checkout, one run per
-  seed, reported as the median over the seeds;
+  --seed S --seconds 15 --trace 0` run from that checkout;
 - the six canned `kfwer simulate --study` runs, `kfwer verify --suite
-  all` and the Tier-1 test command, each repeated and reported as the
-  median wall time, with the largest peak RSS over the runs and a digest
-  of each command's output (equal digests mean byte-identical CSVs).
+  all` and the Tier-1 test command.
 
-Runs alternate between the sides seed by seed, so slow drift of a shared
-host falls on both. The benchmark itself is not reimplemented here: its
-own command prints every workload metric. The output file records the
-machine, its CPU count and the Python, numpy and scipy versions.
+Every run is recorded. Each workload metric and command wall time is
+also reported as the median over the passes, a command with the largest
+peak RSS over the passes and a digest of its output (equal digests mean
+byte-identical CSVs). The two checkouts swap places every pass, so slow
+drift of a shared host falls on both alike. The benchmark itself is not
+reimplemented here: its own command prints every workload metric. The
+output file records the machine, its CPU count and the Python, numpy and
+scipy versions.
 """
 
 import argparse
@@ -41,25 +43,22 @@ WORKLOADS = ("study-smalln", "study-largen", "constants", "oracle")
 STUDIES = ("fig1", "fig2", "fig3", "fig4", "fig5", "table2")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 SECONDS = 15  # the workload length BENCHMARK.json runs
-REPEATS = 3  # runs of each study, verify and Tier-1 command
+SEEDS = tuple(range(31, 41))  # one pass over both checkouts per seed
 
 
 def _arguments(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR",
-                        help="a named source checkout to measure; give one or more")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[31, 32, 33],
-                        help="benchmark workload seeds, at least 3")
+    parser.add_argument("--parent", required=True, metavar="DIR",
+                        help="source checkout of the parent commit")
+    parser.add_argument("--change", required=True, metavar="DIR",
+                        help="source checkout of the change")
     args = parser.parse_args(argv)
-    sides = {}
-    for item in args.side:
-        name, sep, path = item.partition("=")
-        if not sep or not os.path.isfile(os.path.join(path, "src", "kfwer", "__init__.py")):
-            parser.error(f"--side {item!r}: want NAME=DIR with DIR a kfwer source checkout")
+    sides = {"parent": args.parent, "change": args.change}
+    for name, path in sides.items():
+        if not os.path.isfile(os.path.join(path, "src", "kfwer", "__init__.py")):
+            parser.error(f"--{name} {path!r} is not a kfwer source checkout")
         sides[name] = os.path.abspath(path)
-    if len(args.seeds) < 3:
-        parser.error("medians need at least 3 seeds")
     return args, sides
 
 
@@ -102,7 +101,7 @@ def _command(checkout, args):
 
 
 def _median_of(runs):
-    """Median wall over repeated runs of one command, with what must agree."""
+    """Median wall over the passes of one command, with what must agree."""
     return {
         "wall_s": statistics.median(r["wall_s"] for r in runs),
         "wall_s_runs": [round(r["wall_s"], 3) for r in runs],
@@ -132,19 +131,15 @@ def main(argv=None):
     commands["verify all"] = ["-m", "kfwer.cli", "verify", "--suite", "all"]
     commands["tier1 pytest"] = list(TIER1)
     order = list(sides)
-    for rep in range(max(len(args.seeds), REPEATS)):
+    for seed in SEEDS:
         for name in order:
             checkout = sides[name]
-            if rep < len(args.seeds):
-                seed = args.seeds[rep]
-                for w in WORKLOADS:
-                    print(f"[{name}] {w} seed {seed}", file=sys.stderr, flush=True)
-                    run = _workload(checkout, w, seed)
-                    raw[name]["workloads"][w].append(dict(run, seed=seed))
-            if rep < REPEATS:
-                for label, cmd in commands.items():
-                    print(f"[{name}] {label} run {rep + 1}", file=sys.stderr, flush=True)
-                    raw[name]["commands"].setdefault(label, []).append(_command(checkout, cmd))
+            for w in WORKLOADS:
+                print(f"[{name}] {w} seed {seed}", file=sys.stderr, flush=True)
+                raw[name]["workloads"][w].append(dict(_workload(checkout, w, seed), seed=seed))
+            for label, cmd in commands.items():
+                print(f"[{name}] {label} seed pass {seed}", file=sys.stderr, flush=True)
+                raw[name]["commands"].setdefault(label, []).append(_command(checkout, cmd))
         order.reverse()
 
     doc = {
@@ -160,8 +155,8 @@ def main(argv=None):
         "settings": {
             "workload_command": "python3 perfbench/run.py --workload W --seed S "
                                 f"--seconds {SECONDS} --trace 0",
-            "seeds": args.seeds,
-            "repeats": REPEATS,
+            "seeds": list(SEEDS),
+            "first_pass_order": list(sides),
             "commands": {k: " ".join(["python", *v]) for k, v in commands.items()},
             "threads": "perfbench pins one thread; the commands use the default "
                        "(KFWER_THREADS unset: one worker per CPU)",

@@ -33,7 +33,6 @@ Metrics, all proportions over replications:
   global_reject_rate      at least one rejection
 """
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -325,41 +324,51 @@ def _rho_token(rho: float) -> str:
 
 
 def _study_fig1():
-    grid = itertools.product((2, 3), (0.0, 0.25, 0.5, 0.75), range(0, 11))
-    return [
-        ExperimentConfig(
-            n=10,
-            k=k,
-            alpha=0.05,
-            model=_models.equicorrelated_normal(rho),
-            procedures=("gen_simes", "classic_simes"),
-            reps=50_000,
-            seed=101_000 + idx,
-            name=f"fig1-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-            n1=n1,
-            metrics=("power_at_least_k", "kfwer"),
-        )
-        for idx, (k, rho, n1) in enumerate(grid)
-    ]
+    out = []
+    idx = 0
+    for k in (2, 3):
+        for rho in (0.0, 0.25, 0.5, 0.75):
+            for n1 in range(0, 11):
+                out.append(
+                    ExperimentConfig(
+                        n=10,
+                        k=k,
+                        alpha=0.05,
+                        model=_models.equicorrelated_normal(rho),
+                        procedures=("gen_simes", "classic_simes"),
+                        reps=50_000,
+                        seed=101_000 + idx,
+                        name=f"fig1-rho{_rho_token(rho)}-k{k}-n1_{n1}",
+                        n1=n1,
+                        metrics=("power_at_least_k", "kfwer"),
+                    )
+                )
+                idx += 1
+    return out
 
 
 def _study_fig2():
-    grid = itertools.product((2, 3), (0.0, 0.1, 0.25, 0.5, 0.75), (10, 25, 50, 75, 90))
-    return [
-        ExperimentConfig(
-            n=100,
-            k=k,
-            alpha=0.05,
-            model=_models.equicorrelated_normal(rho),
-            procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-            reps=20_000,
-            seed=102_000 + idx,
-            name=f"fig2-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-            n1=n1,
-            metrics=("ave_power", "kfwer", "power_at_least_k"),
-        )
-        for idx, (k, rho, n1) in enumerate(grid)
-    ]
+    out = []
+    idx = 0
+    for k in (2, 3):
+        for rho in (0.0, 0.1, 0.25, 0.5, 0.75):
+            for n1 in (10, 25, 50, 75, 90):
+                out.append(
+                    ExperimentConfig(
+                        n=100,
+                        k=k,
+                        alpha=0.05,
+                        model=_models.equicorrelated_normal(rho),
+                        procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
+                        reps=20_000,
+                        seed=102_000 + idx,
+                        name=f"fig2-rho{_rho_token(rho)}-k{k}-n1_{n1}",
+                        n1=n1,
+                        metrics=("ave_power", "kfwer", "power_at_least_k"),
+                    )
+                )
+                idx += 1
+    return out
 
 
 def _fig3_loadings():
@@ -368,78 +377,95 @@ def _fig3_loadings():
 
 def _study_fig3():
     # two-block factor model; effects sit on the high-loading (last) block
-    return [
-        ExperimentConfig(
-            n=20,
-            k=2,
-            alpha=0.05,
-            model=_models.factor_normal(_fig3_loadings()),
-            procedures=("gen_simes", "classic_simes"),
-            reps=20_000,
-            seed=103_000 + idx,
-            name=f"fig3-k2-n1_{n1}",
-            mu=(0.0,) * (20 - n1) + (2.0,) * n1,
-            metrics=("power_at_least_k", "power_at_least_k_false", "kfwer"),
+    out = []
+    for idx, n1 in enumerate((0, 2, 5, 10, 15, 20)):
+        mu = [0.0] * (20 - n1) + [2.0] * n1
+        out.append(
+            ExperimentConfig(
+                n=20,
+                k=2,
+                alpha=0.05,
+                model=_models.factor_normal(_fig3_loadings()),
+                procedures=("gen_simes", "classic_simes"),
+                reps=20_000,
+                seed=103_000 + idx,
+                name=f"fig3-k2-n1_{n1}",
+                mu=tuple(mu),
+                metrics=("power_at_least_k", "power_at_least_k_false", "kfwer"),
+            )
         )
-        for idx, n1 in enumerate((0, 2, 5, 10, 15, 20))
-    ]
+    return out
 
 
 def _study_fig4():
-    grid = itertools.product((2, 5, 10, 30), (0, 2, 5, 8, 10))
-    return [
-        ExperimentConfig(
-            n=10,
-            k=2,
-            alpha=0.05,
-            model=_models.equicorrelated_t(0.25, dof, 2_000_000, 424_242),
-            procedures=("gen_simes", "classic_simes"),
-            reps=20_000,
-            seed=104_000 + idx,
-            name=f"fig4-rho0.25-k2-dof{dof}-n1_{n1}",
-            n1=n1,
-            metrics=("power_at_least_k", "kfwer"),
-        )
-        for idx, (dof, n1) in enumerate(grid)
-    ]
+    out = []
+    idx = 0
+    for dof in (2, 5, 10, 30):
+        model = _models.equicorrelated_t(0.25, dof, 2_000_000, 424_242)
+        for n1 in (0, 2, 5, 8, 10):
+            out.append(
+                ExperimentConfig(
+                    n=10,
+                    k=2,
+                    alpha=0.05,
+                    model=model,
+                    procedures=("gen_simes", "classic_simes"),
+                    reps=20_000,
+                    seed=104_000 + idx,
+                    name=f"fig4-rho0.25-k2-dof{dof}-n1_{n1}",
+                    n1=n1,
+                    metrics=("power_at_least_k", "kfwer"),
+                )
+            )
+            idx += 1
+    return out
 
 
 def _study_fig5():
-    grid = itertools.product((10, 25), (100, 250, 500, 750, 900))
-    return [
-        ExperimentConfig(
-            n=1000,
-            k=k,
-            alpha=0.05,
-            model=_models.independent(),
-            procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-            reps=20_000,
-            seed=105_000 + idx,
-            name=f"fig5-rho0-k{k}-n1_{n1}",
-            n1=n1,
-            metrics=("ave_power", "kfwer"),
-        )
-        for idx, (k, n1) in enumerate(grid)
-    ]
+    out = []
+    idx = 0
+    for k in (10, 25):
+        for n1 in (100, 250, 500, 750, 900):
+            out.append(
+                ExperimentConfig(
+                    n=1000,
+                    k=k,
+                    alpha=0.05,
+                    model=_models.independent(),
+                    procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
+                    reps=20_000,
+                    seed=105_000 + idx,
+                    name=f"fig5-rho0-k{k}-n1_{n1}",
+                    n1=n1,
+                    metrics=("ave_power", "kfwer"),
+                )
+            )
+            idx += 1
+    return out
 
 
 def _study_table2():
-    grid = itertools.product((10, 20), (2, 3), (0.0, 0.25, 0.5, 0.75))
-    return [
-        ExperimentConfig(
-            n=n,
-            k=k,
-            alpha=0.05,
-            model=_models.equicorrelated_normal(rho),
-            procedures=("gen_simes",),
-            reps=50_000,
-            seed=106_000 + idx,
-            name=f"table2-rho{_rho_token(rho)}-k{k}-n{n}",
-            n1=0,
-            metrics=("partial_rejections", "kfwer"),
-        )
-        for idx, (n, k, rho) in enumerate(grid)
-    ]
+    out = []
+    idx = 0
+    for n in (10, 20):
+        for k in (2, 3):
+            for rho in (0.0, 0.25, 0.5, 0.75):
+                out.append(
+                    ExperimentConfig(
+                        n=n,
+                        k=k,
+                        alpha=0.05,
+                        model=_models.equicorrelated_normal(rho),
+                        procedures=("gen_simes",),
+                        reps=50_000,
+                        seed=106_000 + idx,
+                        name=f"table2-rho{_rho_token(rho)}-k{k}-n{n}",
+                        n1=0,
+                        metrics=("partial_rejections", "kfwer"),
+                    )
+                )
+                idx += 1
+    return out
 
 
 _STUDIES = {

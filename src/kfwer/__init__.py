@@ -52,17 +52,11 @@ from .models import (
     gk_factor_averaged,
     gk_factor_subset,
     gk_quantile,
+    gk_quantiles,
     independent,
+    log_gk,
 )
-from .numerics import (
-    DEFAULT_ACCURACY,
-    AccuracySpec,
-    binomial_tail,
-    find_root,
-    integrate_gaussian,
-    normal_cdf,
-    normal_quantile,
-)
+from .numerics import binomial_tail, find_roots, normal_cdf, normal_quantile
 from .procedures import (
     DecisionRecord,
     DecisionReport,
@@ -88,11 +82,10 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",
-    "AccuracySpec", "DEFAULT_ACCURACY", "normal_cdf", "normal_quantile",
-    "integrate_gaussian", "find_root", "binomial_tail",
+    "normal_cdf", "normal_quantile", "find_roots", "binomial_tail",
     "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "draw", "draw_null_pvalues",
-    "gk_empirical_build", "gk_evaluate", "gk_quantile",
+    "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
     "gk_factor_subset", "gk_factor_averaged",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
     "gen_simes_critvals", "gen_simes_critvals_closed_form",

@@ -14,10 +14,10 @@ from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import betaincinv
 
-from .errors import ConfigurationError
-from .models import NullModel, gk_quantile, independent
-from .numerics import binomial_tail, find_root
+from .errors import ConfigurationError, ConvergenceError
+from .models import NullModel, gk_quantiles, independent
 
 __all__ = [
     "PROCEDURES",
@@ -71,9 +71,16 @@ def _validate(n, k, alpha):
 
 
 def _package(procedure, n, k, alpha, model, values) -> CriticalValueSet:
-    # quantile inversion can wobble adjacent values by the root tolerance
-    # when targets are nearly equal; restore monotonicity in place
-    vals = np.maximum.accumulate(np.asarray(values, dtype=float))
+    # the targets rise strictly in i, so exact constants rise too; ties are
+    # legal only because empirical quantiles of a sample store can repeat
+    vals = np.asarray(values, dtype=float)
+    drops = np.flatnonzero(vals[1:] < vals[:-1])
+    if drops.size:
+        i = k + 1 + int(drops[0])
+        raise ConvergenceError(
+            f"critical values decrease at i={i}: alpha_{i}={vals[i - k]!r} "
+            f"< alpha_{i - 1}={vals[i - k - 1]!r}"
+        )
     if not (vals[0] > 0.0 and vals[-1] < 1.0):
         raise ConfigurationError(
             f"critical values escaped (0, 1): alpha_k={vals[0]!r}, alpha_n={vals[-1]!r}"
@@ -112,23 +119,14 @@ def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel
                      force_inversion: bool) -> tuple:
     if model is not None and model.kind == "factor_normal" and len(model.loadings) != n:
         raise ConfigurationError(f"factor model has {len(model.loadings)} loadings but n={n}")
-    use_closed_form = (
-        model is None or model.kind == "independent"
-    ) and not force_inversion
-    values = []
-    for i in range(k, n + 1):
-        if family == "simes":
-            if use_closed_form:
-                values.append(_closed_form_simes(n, k, alpha, i))
-                continue
-            target = alpha * comb(i, k) / comb(n, k)
-        else:
-            if use_closed_form:
-                values.append(_closed_form_hochberg(n, k, alpha, i))
-                continue
-            target = alpha / comb(n + k - i, k)
-        values.append(gk_quantile(model, k, target))
-    return tuple(values)
+    if (model is None or model.kind == "independent") and not force_inversion:
+        closed_form = _closed_form_simes if family == "simes" else _closed_form_hochberg
+        return tuple(closed_form(n, k, alpha, i) for i in range(k, n + 1))
+    if family == "simes":
+        targets = [alpha * comb(i, k) / comb(n, k) for i in range(k, n + 1)]
+    else:
+        targets = [alpha / comb(n + k - i, k) for i in range(k, n + 1)]
+    return tuple(float(v) for v in gk_quantiles(model, k, targets))
 
 
 def gen_simes_critvals(n, k, alpha, model: NullModel, *, force_inversion=False) -> CriticalValueSet:
@@ -176,12 +174,9 @@ def lr_critvals(n, k, alpha) -> CriticalValueSet:
 
 @lru_cache(maxsize=128)
 def _romano_values(n, k, alpha):
-    values = []
-    for i in range(k, n + 1):
-        m = n - i + k
-        root = find_root(lambda u: binomial_tail(m, k, u) - alpha, 0.0, 1.0)
-        values.append(root)
-    return tuple(values)
+    # H_{k,m}(u) = P(Bin(m, u) >= k) = I_u(k, m - k + 1), and m = n - i + k
+    b = np.arange(n - k + 1, 0, -1, dtype=float)
+    return tuple(float(v) for v in betaincinv(k, b, alpha))
 
 
 def romano_critvals(n, k, alpha) -> CriticalValueSet:

@@ -1,54 +1,23 @@
-"""Scalar numerical kernels.
+"""Numerical kernels.
 
-Normal CDF and quantile, integration against the standard normal weight,
-monotone root finding and binomial tail sums. Everything downstream
-(null models, critical values, probability oracles) is built on these
-five operations.
+Normal CDF and quantile, binomial tail sums, and a batched bracketed
+root finder. Everything downstream (null models, critical values,
+probability oracles) is built on these four operations.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr, ndtri, roots_hermitenorm
+from scipy.special import gammaln, logsumexp, ndtr, ndtri
 
 from .errors import BracketingError, ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
-    "AccuracySpec",
-    "DEFAULT_ACCURACY",
     "normal_cdf",
     "normal_quantile",
-    "integrate_gaussian",
-    "find_root",
+    "find_roots",
     "binomial_tail",
 ]
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Accuracy contract for iterative kernels.
-
-    abs_tol bounds both the residual and the bracket width in find_root
-    and the inter-refinement difference in integrate_gaussian. rel_tol
-    is applied relative to the magnitude of the quantity being refined.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_refinements: int = 8
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ConfigurationError("abs_tol must be a positive finite real")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ConfigurationError("rel_tol must be a positive finite real")
-        if self.max_refinements < 4:
-            raise ConfigurationError("max_refinements must be at least 4")
-
-
-DEFAULT_ACCURACY = AccuracySpec()
 
 
 def normal_cdf(x: float) -> float:
@@ -65,89 +34,50 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(count: int):
-    # roots_hermitenorm integrates against exp(-y^2/2); fold the 1/sqrt(2*pi)
-    # normalization into the weights so the rule integrates against phi(y).
-    nodes, weights = roots_hermitenorm(count)
-    return nodes, weights / math.sqrt(2.0 * math.pi)
+def find_roots(f, lo, hi, tol: float, max_iter: int = 100) -> np.ndarray:
+    """Roots of many increasing functions at once, one per bracket.
 
-
-def _gauss_apply(f, count: int) -> float:
-    nodes, weights = _gauss_rule(count)
-    values = np.asarray(f(nodes), dtype=float)
-    if values.ndim == 0:
-        values = np.full(nodes.shape, float(values))
-    return float(weights @ values)
-
-
-def integrate_gaussian(f, acc: AccuracySpec = DEFAULT_ACCURACY) -> float:
-    """Integral of f(y) phi(y) dy over the real line.
-
-    f must accept a numpy array of evaluation points. The node count
-    starts at 64 and doubles until two successive estimates agree within
-    acc; refinement exhaustion raises ConvergenceError carrying the last
-    two estimates.
+    f(x, j) returns the values at the points x of the functions indexed
+    by the integer array j; lo and hi bracket the roots, f(lo) <= 0 <=
+    f(hi) elementwise. All brackets take regula falsi steps together,
+    with the Illinois halving of a stale endpoint value, and a root stops
+    once |f| <= tol there. A bracket that does not hold raises
+    BracketingError; a root still open after max_iter steps raises
+    ConvergenceError.
     """
-    count = 64
-    previous = _gauss_apply(f, count)
-    for _ in range(acc.max_refinements):
-        count *= 2
-        current = _gauss_apply(f, count)
-        if abs(current - previous) <= max(acc.abs_tol, acc.rel_tol * abs(current)):
-            return current
-        previous = current
-    raise ConvergenceError(
-        f"gaussian quadrature did not settle within {acc.max_refinements} doublings",
-        last_estimates=(previous, current),
-    )
-
-
-def find_root(g, lo: float, hi: float, acc: AccuracySpec = DEFAULT_ACCURACY) -> float:
-    """Root of a monotone function on a bracketing interval.
-
-    Bisection with a secant step on alternating iterations. Returns x
-    once the bracket width is at most acc.abs_tol and the residual is at
-    most max(acc.abs_tol, acc.rel_tol * initial residual scale); the
-    relative term keeps the stopping rule invariant under rescaling g.
-    """
-    if not (lo < hi):
-        raise ConfigurationError(f"invalid bracket [{lo!r}, {hi!r}]")
-    a, b = float(lo), float(hi)
-    fa, fb = float(g(a)), float(g(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    every = np.arange(lo.size)
+    flo, fhi = f(lo, every), f(hi, every)
+    unbracketed = np.flatnonzero((flo > tol) | (fhi < -tol))
+    if unbracketed.size:
+        bad = int(unbracketed[0])
         raise BracketingError(
-            f"no sign change on [{lo!r}, {hi!r}]: g(lo)={fa!r}, g(hi)={fb!r}"
+            f"bracket {bad} [{lo[bad]!r}, {hi[bad]!r}] holds no root: "
+            f"f(lo)={flo[bad]!r}, f(hi)={fhi[bad]!r}"
         )
-    res_tol = max(acc.abs_tol, acc.rel_tol * max(abs(fa), abs(fb)))
-    max_iter = 256
-    for iteration in range(max_iter):
-        if b - a <= acc.abs_tol and min(abs(fa), abs(fb)) <= res_tol:
-            return a if abs(fa) <= abs(fb) else b
-        use_secant = iteration % 2 == 1 and fb != fa
-        if use_secant:
-            x = a - fa * (b - a) / (fb - fa)
-            if not (a < x < b):
-                x = 0.5 * (a + b)
-        else:
-            x = 0.5 * (a + b)
-        if x <= a or x >= b:
-            # bracket has collapsed to adjacent floats
-            return a if abs(fa) <= abs(fb) else b
-        fx = float(g(x))
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
+    roots = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+    residual = np.minimum(np.abs(flo), np.abs(fhi))
+    moved = np.zeros(lo.size, dtype=int)  # end moved last: -1 lo, +1 hi
+    for _ in range(max_iter):
+        j = np.flatnonzero(~(residual <= tol))  # a NaN residual stays open
+        if j.size == 0:
+            return roots
+        a, b, fa, fb = lo[j], hi[j], flo[j], fhi[j]
+        x = a - fa * (b - a) / (fb - fa)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        fx = f(x, j)
+        roots[j], residual[j] = x, np.abs(fx)
+        left = fx < 0.0
+        jl, jr = j[left], j[~left]
+        fhi[jl[moved[jl] == -1]] *= 0.5
+        flo[jr[moved[jr] == 1]] *= 0.5
+        lo[jl], flo[jl], moved[jl] = x[left], fx[left], -1
+        hi[jr], fhi[jr], moved[jr] = x[~left], fx[~left], 1
+    worst = int(np.argmax(residual))
     raise ConvergenceError(
-        f"root finding did not converge in {max_iter} iterations on [{lo!r}, {hi!r}]",
-        last_estimates=(a, b),
+        f"{int(np.sum(~(residual <= tol)))} roots still open after {max_iter} steps; "
+        f"worst |f|={residual[worst]!r} on [{lo[worst]!r}, {hi[worst]!r}]",
+        last_estimates=(lo[worst], hi[worst]),
     )
 
 

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.stats
 
 from kfwer import (
     CLASSIC_PROCEDURES,
     PROCEDURES,
     ConfigurationError,
+    ConvergenceError,
     binomial_tail,
     classic_critvals,
     critical_value_set,
@@ -73,6 +76,11 @@ def test_romano_constants_solve_binomial_tail():
     for i in range(2, 11):
         m = 10 - i + 2
         assert binomial_tail(m, 2, cs.value_at(i)) == pytest.approx(0.05, abs=1e-9)
+    # H_{k,m}(alpha_i) = P(Bin(m, alpha_i) >= k) = alpha, m = n - i + k
+    n, k = 1000, 5
+    cs = romano_critvals(n, k, 0.05)
+    levels = scipy.stats.binom.sf(k - 1, n - np.arange(k, n + 1) + k, cs.values)
+    assert levels == pytest.approx(np.full(n - k + 1, 0.05), rel=1e-10)
 
 
 def test_romano_dominates_lr_componentwise():
@@ -183,3 +191,23 @@ def test_model_description_recorded():
     assert "equicorr" in cs.model_description()
     cs = lr_critvals(5, 2, 0.05)
     assert cs.model_description() == "independent"
+
+
+def test_decreasing_constants_raise_instead_of_being_patched(monkeypatch):
+    # a solver result that falls at i = 5 must not be flattened into a set
+    def falling(model, k, targets):
+        values = np.linspace(0.01, 0.04, len(targets))
+        values[5 - k] = values[5 - k - 1] / 2.0
+        return values
+
+    monkeypatch.setattr("kfwer.critvals.gk_quantiles", falling)
+    with pytest.raises(ConvergenceError, match="decrease at i=5"):
+        gen_simes_critvals(8, 2, 0.0421, equicorrelated_normal(0.37))
+
+
+def test_tied_constants_stay_legal(monkeypatch):
+    # empirical quantiles of a sample store can repeat
+    monkeypatch.setattr("kfwer.critvals.gk_quantiles",
+                        lambda model, k, targets: np.full(len(targets), 0.02))
+    cs = gen_hochberg_critvals(8, 2, 0.0422, equicorrelated_normal(0.37))
+    assert cs.values == (0.02,) * 7

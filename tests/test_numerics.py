@@ -7,13 +7,13 @@ import pytest
 import scipy.stats
 
 from kfwer import (
-    AccuracySpec,
     BracketingError,
-    ConfigurationError,
+    ConvergenceError,
     DomainError,
     binomial_tail,
-    find_root,
-    integrate_gaussian,
+    factor_normal,
+    find_roots,
+    gk_factor_subset,
     normal_cdf,
     normal_quantile,
 )
@@ -40,52 +40,56 @@ def test_normal_domain_errors():
         normal_quantile(1.0)
 
 
-def test_integrate_gaussian_total_mass():
-    assert integrate_gaussian(lambda y: 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert integrate_gaussian(lambda y: y) == pytest.approx(0.0, abs=1e-12)
-    assert integrate_gaussian(lambda y: y * y) == pytest.approx(1.0, abs=1e-10)
-
-
 @pytest.mark.parametrize("a", [-2.0, 0.0, 2.0])
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
 def test_integrate_gaussian_convolution_identity(a, b):
-    # E[Phi(a + bY)] = Phi(a / sqrt(1 + b^2)) for Y standard normal;
-    # the integrand contract is vectorized over the quadrature nodes
-    from scipy.special import ndtr
+    # E[Phi(a + bY)] = Phi(a / sqrt(1 + b^2)) for Y standard normal, through
+    # the one-factor kernel: one p-value with loading lam = b / sqrt(1 + b^2)
+    # has t = -a / sqrt(1 + b^2), so Pr{p <= u} at u = Phi(-t) is the left side
+    lam = b / math.hypot(1.0, b)
+    u = normal_cdf(a / math.hypot(1.0, b))
+    got = gk_factor_subset(factor_normal((lam,)), (1,), u)
+    assert got == pytest.approx(u, rel=1e-12)
 
-    got = integrate_gaussian(lambda y: ndtr(a + b * y))
-    want = normal_cdf(a / math.hypot(1.0, b))
-    assert got == pytest.approx(want, abs=1e-10)
+
+def _roots(f, lo, hi, tol=1e-12):
+    # one scalar function through the batched solver
+    return float(find_roots(lambda x, j: f(x), [lo], [hi], tol)[0])
 
 
 def test_find_root_monotone_cubic():
-    root = find_root(lambda u: u**3 - 0.2, 0.0, 1.0)
+    root = _roots(lambda u: u**3 - 0.2, 0.0, 1.0)
     assert root == pytest.approx(0.2 ** (1.0 / 3.0), abs=1e-10)
 
 
 def test_find_root_endpoint_roots():
-    assert find_root(lambda u: u, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert find_root(lambda u: u - 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert _roots(lambda u: u, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert _roots(lambda u: u - 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_root_requires_bracket():
     with pytest.raises(BracketingError):
-        find_root(lambda u: u + 1.0, 0.0, 1.0)
+        _roots(lambda u: u + 1.0, 0.0, 1.0)
 
 
-def test_find_root_respects_accuracy_spec():
-    acc = AccuracySpec(abs_tol=1e-13, rel_tol=1e-12)
-    root = find_root(lambda u: u**2 - 0.5, 0.0, 1.0, acc)
+def test_find_roots_respects_tolerance():
+    root = _roots(lambda u: u**2 - 0.5, 0.0, 1.0, tol=1e-13)
     assert abs(root - math.sqrt(0.5)) < 1e-12
 
 
-def test_accuracy_spec_validation():
-    with pytest.raises(ConfigurationError):
-        AccuracySpec(abs_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        AccuracySpec(rel_tol=float("inf"))
-    with pytest.raises(ConfigurationError):
-        AccuracySpec(max_refinements=2)
+def test_find_roots_solves_each_bracket_on_its_own():
+    # the roots of u^3 = c_j, with the brackets of later entries closing
+    # at different steps; entries are independent of their neighbours
+    targets = np.array([1e-6, 0.008, 0.2, 0.9])
+    roots = find_roots(lambda x, j: x**3 - targets[j], np.zeros(4), np.ones(4), 1e-14)
+    assert roots == pytest.approx(np.cbrt(targets), rel=1e-9)
+    alone = [find_roots(lambda x, j: x**3 - c, [0.0], [1.0], 1e-14)[0] for c in targets]
+    assert np.array_equal(roots, alone)
+
+
+def test_find_roots_raises_when_steps_run_out():
+    with pytest.raises(ConvergenceError, match="still open"):
+        find_roots(lambda x, j: x**3 - 0.2, [0.0], [1.0], 1e-14, max_iter=2)
 
 
 def test_binomial_tail_reference_value():
@@ -113,3 +117,8 @@ def test_binomial_tail_matches_scipy_grid():
 def test_binomial_tail_monotone_in_u():
     grid = [binomial_tail(12, 3, u) for u in np.linspace(0.0, 1.0, 25)]
     assert all(a <= b + 1e-15 for a, b in zip(grid, grid[1:]))
+
+
+def test_find_roots_never_accepts_a_nan_value():
+    with pytest.raises(ConvergenceError):
+        find_roots(lambda x, j: np.where(x > 0.5, np.nan, x - 0.75), [0.0], [1.0], 1e-12)

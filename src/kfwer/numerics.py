@@ -19,6 +19,9 @@ __all__ = [
     "binomial_tail",
 ]
 
+# regula falsi steps find_roots takes before it gives up on open roots
+MAX_STEPS = 100
+
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF Phi(x)."""
@@ -34,7 +37,7 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
-def find_roots(f, lo, hi, tol: float, max_iter: int = 100) -> np.ndarray:
+def find_roots(f, lo, hi, tol: float) -> np.ndarray:
     """Roots of many increasing functions at once, one per bracket.
 
     f(x, j) returns the values at the points x of the functions indexed
@@ -42,7 +45,7 @@ def find_roots(f, lo, hi, tol: float, max_iter: int = 100) -> np.ndarray:
     f(hi) elementwise. All brackets take regula falsi steps together,
     with the Illinois halving of a stale endpoint value, and a root stops
     once |f| <= tol there. A bracket that does not hold raises
-    BracketingError; a root still open after max_iter steps raises
+    BracketingError; a root still open after MAX_STEPS steps raises
     ConvergenceError.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -58,7 +61,7 @@ def find_roots(f, lo, hi, tol: float, max_iter: int = 100) -> np.ndarray:
     roots = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
     residual = np.minimum(np.abs(flo), np.abs(fhi))
     moved = np.zeros(lo.size, dtype=int)  # end moved last: -1 lo, +1 hi
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         j = np.flatnonzero(~(residual <= tol))  # a NaN residual stays open
         if j.size == 0:
             return roots
@@ -75,7 +78,7 @@ def find_roots(f, lo, hi, tol: float, max_iter: int = 100) -> np.ndarray:
         hi[jr], fhi[jr], moved[jr] = x[~left], fx[~left], 1
     worst = int(np.argmax(residual))
     raise ConvergenceError(
-        f"{int(np.sum(~(residual <= tol)))} roots still open after {max_iter} steps; "
+        f"{int(np.sum(~(residual <= tol)))} roots still open after {MAX_STEPS} steps; "
         f"worst |f|={residual[worst]!r} on [{lo[worst]!r}, {hi[worst]!r}]",
         last_estimates=(lo[worst], hi[worst]),
     )

@@ -75,6 +75,8 @@ CASES = [
     # once returned alpha_10 = 1.39e-23 with G_10 there 10.9 times its target
     ("hochberg", 1000, 10, "equicorr", 0.99),
     ("hochberg", 100, 10, "factor", (0.6, 0.95)),
+    # pairwise correlations up to 0.998, past the equicorrelated range
+    ("hochberg", 100, 10, "factor", (0.6, 0.999)),
 ]
 
 

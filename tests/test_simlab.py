@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -405,6 +406,27 @@ def test_canned_study_catalog():
         cfgs = canned_study_configs(name)
         assert cfgs, name
         assert all(c.name.startswith(name) for c in cfgs)
+
+
+# Every canned grid, pinned before the studies became grid specs: the
+# config count and the SHA-256 of the repr of the config tuple. A change
+# to any field, model, seed, name or the order of a grid shows here.
+CANNED_GRID_DIGESTS = {
+    "fig1": (88, "c59cbe7dfb71fd59a75f0e1bd77987442614c2c55123da9ba452c3825263fcec"),
+    "fig2": (50, "9079ebcf909ef66e68a29cbf7d8eba778fd072262a28a0af22e35a8e166f5cd8"),
+    "fig3": (6, "231e7ef68615a0ec01da5aef1d52be960a0ee6d25b827ec23c709ecf32f6a621"),
+    "fig4": (20, "69c7948adfe6749dc61ed0a2806429d742e33021c7971b941c4646b9860ce6f7"),
+    "fig5": (10, "c36010b467ba98d508c1d13d9bfb86be4679851670398fee9de24bdc4d95c4fd"),
+    "table2": (16, "84a7341dc410bc79c53bbe976a5ae8ae6decf670d88204bda3e50d5c83c253ce"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANNED_GRID_DIGESTS))
+def test_canned_study_grid_is_pinned(name):
+    cfgs = canned_study_configs(name)
+    count, digest = CANNED_GRID_DIGESTS[name]
+    assert len(cfgs) == count
+    assert hashlib.sha256(repr(cfgs).encode()).hexdigest() == digest
 
 
 def test_canned_study_filters():

@@ -55,6 +55,7 @@ from .models import (
     gk_quantiles,
     independent,
     log_gk,
+    parse_model,
 )
 from .numerics import binomial_tail, find_roots, normal_cdf, normal_quantile
 from .procedures import (
@@ -74,6 +75,7 @@ from .simlab import (
     StudyOutcome,
     canned_study_configs,
     canned_study_names,
+    parse_configs,
     run_experiment,
     run_study,
     thread_cap,
@@ -84,7 +86,7 @@ __all__ = [
     "__version__",
     "normal_cdf", "normal_quantile", "find_roots", "binomial_tail",
     "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
-    "factor_normal", "equicorrelated_t", "draw", "draw_null_pvalues",
+    "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
     "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
     "gk_factor_subset", "gk_factor_averaged",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
@@ -96,7 +98,7 @@ __all__ = [
     "CriticalVector", "ProbEstimate", "union_prob_mc", "lemma21_rhs_mc",
     "union_prob_exact_smalln", "bound_eq22", "bonferroni_eq23",
     "METRICS", "ExperimentConfig", "MetricCell",
-    "MetricsReport", "StudyOutcome", "run_experiment", "run_study",
+    "MetricsReport", "StudyOutcome", "run_experiment", "run_study", "parse_configs",
     "thread_cap", "canned_study_names", "canned_study_configs",
     "CheckResult", "run_suite",
     "KfwerError", "DomainError", "ConfigurationError", "ScaleError",

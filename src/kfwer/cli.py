@@ -15,52 +15,14 @@ import sys
 
 from .critvals import CLI_NAMES, critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, KfwerError, NumericalError
-from .models import equicorrelated_normal, equicorrelated_t, factor_normal, independent
+from .models import parse_model
 from .procedures import PValueVector, single_step_apply, stepdown_apply, stepup_apply
-from .simlab import (
-    ExperimentConfig,
-    canned_study_configs,
-    canned_study_names,
-    run_study,
-)
+from .simlab import canned_study_configs, canned_study_names, parse_configs, run_study
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
-
-def _parse_model_spec(spec: str):
-    parts = spec.split(":")
-    try:
-        if parts[0] == "independent" and len(parts) == 1:
-            return independent()
-        if parts[0] == "equicorr" and len(parts) == 2:
-            return equicorrelated_normal(float(parts[1]))
-        if parts[0] == "factor" and len(parts) == 2:
-            return factor_normal(_read_loadings(parts[1]))
-        if parts[0] == "t" and len(parts) == 5:
-            return equicorrelated_t(
-                float(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
-            )
-    except ValueError:
-        pass
-    else:
-        raise ConfigurationError(
-            f"bad model spec {spec!r}; expected independent | equicorr:RHO | "
-            "factor:FILE | t:RHO:DOF:SAMPLES:SEED"
-        )
-    raise ConfigurationError(f"bad numeric field in model spec {spec!r}")
-
-
-def _read_loadings(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().replace(",", " ").split()
-    if not tokens:
-        raise ConfigurationError(f"{path}: no loadings found")
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}")
 
 
 def _fmt(value) -> str:
@@ -81,7 +43,7 @@ def _emit(text: str, out_path):
 
 def _cmd_critvals(args) -> int:
     procedure = procedure_id(args.procedure)
-    model = _parse_model_spec(args.model)
+    model = parse_model(args.model)
     cset = critical_value_set(procedure, args.n, args.k, args.alpha, model)
     lines = ["i,alpha_i,padded_c_i"]
     for i in range(1, cset.n + 1):
@@ -133,7 +95,7 @@ def _cmd_apply(args) -> int:
     procedure = procedure_id(args.procedure)
     entries = _read_pvalue_file(args.pvalues)
     n = len(entries)
-    model = _parse_model_spec(args.model)
+    model = parse_model(args.model)
     cset = critical_value_set(procedure, n, args.k, args.alpha, model)
     report = _APPLIERS[rule_for(procedure)](PValueVector(tuple(entries)), cset)
     i0 = "none" if report.i0 is None else str(report.i0)
@@ -150,96 +112,14 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-_MODEL_KEYS = {
-    "independent": set(),
-    "equicorr": {"rho"},
-    "factor": {"loadings"},
-    "t": {"rho", "dof", "samples", "seed"},
-}
-
-
-def _model_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigurationError("model must be an object with a 'kind' key")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ConfigurationError(
-            f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KEYS)}"
-        )
-    keys = set(obj) - {"kind"}
-    if keys != _MODEL_KEYS[kind]:
-        raise ConfigurationError(
-            f"model kind {kind!r} takes keys {sorted(_MODEL_KEYS[kind])}, got {sorted(keys)}"
-        )
-    if kind == "independent":
-        return independent()
-    if kind == "equicorr":
-        return equicorrelated_normal(obj["rho"])
-    if kind == "factor":
-        return factor_normal(obj["loadings"])
-    return equicorrelated_t(obj["rho"], obj["dof"], obj["samples"], obj["seed"])
-
-
-_CONFIG_KEYS = {
-    "name", "n", "k", "alpha", "model", "mu", "n1", "effect",
-    "procedures", "reps", "seed", "metrics",
-}
-_REQUIRED_KEYS = {"n", "k", "alpha", "model", "procedures", "reps", "seed"}
-
-
-def _config_from_json(obj, index: int) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"config #{index}: must be an object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError(f"config #{index}: unknown keys {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(obj)
-    if missing:
-        raise ConfigurationError(f"config #{index}: missing keys {sorted(missing)}")
-    for key in ("procedures", "metrics"):
-        if not isinstance(obj.get(key, []), list):
-            raise ConfigurationError(f"config #{index}: {key} must be a list")
-    kwargs = dict(
-        n=obj["n"],
-        k=obj["k"],
-        alpha=obj["alpha"],
-        model=_model_from_json(obj["model"]),
-        procedures=tuple(procedure_id(str(p)) for p in obj["procedures"]),
-        reps=obj["reps"],
-        seed=obj["seed"],
-        name=obj.get("name", f"config{index}"),
-    )
-    kwargs.update((key, obj[key]) for key in ("mu", "n1", "effect", "metrics") if key in obj)
-    return ExperimentConfig(**kwargs)
-
-
-def _load_config_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: top level must be a JSON object")
-    version = doc.get("schema_version")
-    if isinstance(version, bool) or version != 1:
-        raise ConfigurationError(f"{path}: schema_version must be 1")
-    if "configs" in doc:
-        extra = set(doc) - {"schema_version", "configs"}
-        if extra:
-            raise ConfigurationError(f"{path}: unknown top-level keys {sorted(extra)}")
-        raw = doc["configs"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigurationError(f"{path}: configs must be a nonempty list")
-    else:
-        raw = [{k: v for k, v in doc.items() if k != "schema_version"}]
-    return tuple(_config_from_json(obj, idx) for idx, obj in enumerate(raw))
-
-
 def _cmd_simulate(args) -> int:
     if bool(args.config) == bool(args.study):
         raise ConfigurationError("give exactly one of --config FILE or --study NAME")
     if args.study:
         configs = canned_study_configs(args.study)
     else:
-        configs = _load_config_file(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            configs = parse_configs(json.load(fh), args.config)
     outcomes = run_study(configs)
     lines = ["study,procedure,metric,estimate,std_error,reps,seed"]
     failures = 0

@@ -8,6 +8,7 @@ the count of k or more errors, so the largest monotone choice is used.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import betaincinv
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError, ConvergenceError, ScaleError
 from .models import NullModel, gk_quantiles, independent
 
 __all__ = [
@@ -122,6 +123,12 @@ def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel
     if (model is None or model.kind == "independent") and not force_inversion:
         closed_form = _closed_form_simes if family == "simes" else _closed_form_hochberg
         return tuple(closed_form(n, k, alpha, i) for i in range(k, n + 1))
+    # every binomial coefficient in the targets is at most C(n, k)
+    if comb(n, k) > sys.float_info.max:
+        raise ScaleError(
+            f"inverting G_k needs C(n, k) as a float, and C({n}, {k}) exceeds "
+            f"the largest float, {sys.float_info.max:.4g}"
+        )
     if family == "simes":
         targets = [alpha * comb(i, k) / comb(n, k) for i in range(k, n + 1)]
     else:

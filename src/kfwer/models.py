@@ -42,6 +42,7 @@ __all__ = [
     "equicorrelated_normal",
     "factor_normal",
     "equicorrelated_t",
+    "parse_model",
     "gk_empirical_build",
     "gk_evaluate",
     "gk_quantile",
@@ -97,13 +98,17 @@ class NullModel:
             raise ConfigurationError(f"dof must be a positive integer, got {self.dof!r}")
 
     def describe(self) -> str:
+        """The model as a parse_model string, which parses back to an equal
+        model for the independent, equicorrelated and t kinds. A factor
+        model's loadings have no string form (the string reads them from a
+        file), so it is described by its size, factor:n=N."""
         if self.kind == "equicorrelated_normal":
-            return f"equicorr:{self.rho:g}"
+            return f"equicorr:{self.rho!r}"
         if self.kind == "factor_normal":
             return f"factor:n={len(self.loadings)}"
         if self.kind == "equicorrelated_t":
             size, seed = self.store_token
-            return f"t:{self.rho:g}:{self.dof}:{size}:{seed}"
+            return f"t:{self.rho!r}:{self.dof}:{size}:{seed}"
         if self.kind == "empirical":
             return f"empirical:k={self.built_k}"
         return self.kind
@@ -154,6 +159,71 @@ def equicorrelated_t(rho: float, dof: int, sample_size: int, seed: int) -> NullM
         dof=as_int("dof", dof),
         store_token=(sample_size, as_int("seed", seed)),
     )
+
+
+# kind -> (constructor, ordered fields): one grammar for the string form
+# kind:f1:f2... and the JSON form {"kind": ..., "f1": ..., ...}
+_SPEC_KINDS = {
+    "independent": (independent, ()),
+    "equicorr": (equicorrelated_normal, ("rho",)),
+    "factor": (factor_normal, ("loadings",)),
+    "t": (equicorrelated_t, ("rho", "dof", "samples", "seed")),
+}
+
+
+def _read_loadings(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = fh.read().replace(",", " ").split()
+    if not tokens:
+        raise ConfigurationError(f"{path}: no loadings found")
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}")
+
+
+def _number(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def parse_model(spec) -> NullModel:
+    """A NullModel from its string or JSON (dict) spec.
+
+    Strings are independent | equicorr:RHO | factor:FILE |
+    t:RHO:DOF:SAMPLES:SEED, where FILE holds the loadings separated by
+    commas or whitespace; a dict names the same fields as keys beside
+    "kind". The constructors check each value.
+    """
+    if isinstance(spec, str):
+        kind, *fields = spec.split(":")
+        names = _SPEC_KINDS[kind][1] if kind in _SPEC_KINDS else None
+        if names is None or len(fields) != len(names):
+            raise ConfigurationError(
+                f"bad model spec {spec!r}; expected independent | equicorr:RHO | "
+                "factor:FILE | t:RHO:DOF:SAMPLES:SEED"
+            )
+        convert = _read_loadings if kind == "factor" else _number
+        try:
+            spec = {"kind": kind, **{name: convert(text) for name, text in zip(names, fields)}}
+        except ValueError:
+            raise ConfigurationError(f"bad numeric field in model spec {spec!r}")
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigurationError("model must be an object with a 'kind' key")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise ConfigurationError(
+            f"unknown model kind {kind!r}; expected one of {sorted(_SPEC_KINDS)}"
+        )
+    build, names = _SPEC_KINDS[kind]
+    keys = set(spec) - {"kind"}
+    if keys != set(names):
+        raise ConfigurationError(
+            f"model kind {kind!r} takes keys {sorted(names)}, got {sorted(keys)}"
+        )
+    return build(*(spec[name] for name in names))
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,14 @@ Metrics, all proportions over replications:
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from itertools import product
 
 import numpy as np
 
-from .critvals import critical_value_set, rule_for
+from .critvals import critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, as_float, as_floats, as_int
-from .models import BLOCK, NullModel, draw
-from . import models as _models
+from .models import BLOCK, NullModel, draw, parse_model
 
 __all__ = [
     "METRICS",
@@ -54,6 +54,9 @@ __all__ = [
     "StudyOutcome",
     "run_experiment",
     "run_study",
+    "parse_configs",
+    "expand_grid",
+    "STUDY_GRIDS",
     "canned_study_names",
     "canned_study_configs",
     "thread_cap",
@@ -316,170 +319,138 @@ def run_study(configs) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# canned studies
+# config documents and canned studies
+
+# a config's keys are the ExperimentConfig fields; those without a default are required
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
-def _rho_token(rho: float) -> str:
-    return format(rho, "g")
+def _parse_config(obj, index: int) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"config #{index}: must be an object")
+    unknown = set(obj) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigurationError(f"config #{index}: unknown keys {sorted(unknown)}")
+    missing = _REQUIRED_KEYS - set(obj)
+    if missing:
+        raise ConfigurationError(f"config #{index}: missing keys {sorted(missing)}")
+    for key in ("procedures", "metrics"):
+        if not isinstance(obj.get(key, []), list):
+            raise ConfigurationError(f"config #{index}: {key} must be a list")
+    return ExperimentConfig(**{
+        **obj,
+        "name": obj.get("name", f"config{index}"),
+        "model": parse_model(obj["model"]),
+        "procedures": tuple(procedure_id(str(p)) for p in obj["procedures"]),
+    })
 
 
-def _study_fig1():
-    out = []
-    idx = 0
-    for k in (2, 3):
-        for rho in (0.0, 0.25, 0.5, 0.75):
-            for n1 in range(0, 11):
-                out.append(
-                    ExperimentConfig(
-                        n=10,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_simes", "classic_simes"),
-                        reps=50_000,
-                        seed=101_000 + idx,
-                        name=f"fig1-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-                        n1=n1,
-                        metrics=("power_at_least_k", "kfwer"),
-                    )
-                )
-                idx += 1
-    return out
+def parse_configs(doc, source: str) -> tuple:
+    """The configs of a loaded JSON config document (schema_version 1).
+
+    The document is one config object beside "schema_version", or
+    {"schema_version": 1, "configs": [config, ...]}. source names the
+    document in error messages.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{source}: top level must be a JSON object")
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != 1:
+        raise ConfigurationError(f"{source}: schema_version must be 1")
+    if "configs" in doc:
+        extra = set(doc) - {"schema_version", "configs"}
+        if extra:
+            raise ConfigurationError(f"{source}: unknown top-level keys {sorted(extra)}")
+        raw = doc["configs"]
+        if not isinstance(raw, list) or not raw:
+            raise ConfigurationError(f"{source}: configs must be a nonempty list")
+    else:
+        raw = [{k: v for k, v in doc.items() if k != "schema_version"}]
+    return tuple(_parse_config(obj, idx) for idx, obj in enumerate(raw))
 
 
-def _study_fig2():
-    out = []
-    idx = 0
-    for k in (2, 3):
-        for rho in (0.0, 0.1, 0.25, 0.5, 0.75):
-            for n1 in (10, 25, 50, 75, 90):
-                out.append(
-                    ExperimentConfig(
-                        n=100,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-                        reps=20_000,
-                        seed=102_000 + idx,
-                        name=f"fig2-rho{_rho_token(rho)}-k{k}-n1_{n1}",
-                        n1=n1,
-                        metrics=("ave_power", "kfwer", "power_at_least_k"),
-                    )
-                )
-                idx += 1
-    return out
+def expand_grid(grid) -> tuple:
+    """The configs of a grid spec, one per point of the product of its axes
+    (the last axis varies fastest), each read by the config-file parser.
+
+    grid["axes"] lists (name, values). A plain value sets the config field
+    of that name; a (label, fields) pair merges the fields dict into the
+    config. The name template grid["name"] sees each value or label under
+    its axis name, and point i gets seed grid["seed"] + i. Every other key
+    of grid is a config field shared by all points.
+    """
+    axes = grid["axes"]
+    configs = []
+    for idx, point in enumerate(product(*(values for _, values in axes))):
+        doc = {key: v for key, v in grid.items() if key != "axes"}
+        labels = {}
+        for (name, _), value in zip(axes, point):
+            labels[name], part = value if isinstance(value, tuple) else (value, {name: value})
+            doc.update(part)
+        doc.update(seed=grid["seed"] + idx, name=grid["name"].format(**labels))
+        configs.append(_parse_config(doc, idx))
+    return tuple(configs)
 
 
-def _fig3_loadings():
-    return tuple([math.sqrt(0.25)] * 10 + [math.sqrt(0.75)] * 10)
+def _equicorr_axis(*rhos):
+    return ("rho", [(rho, {"model": {"kind": "equicorr", "rho": rho}}) for rho in rhos])
 
 
-def _study_fig3():
+_FIG3_LOADINGS = [math.sqrt(0.25)] * 10 + [math.sqrt(0.75)] * 10
+
+STUDY_GRIDS = {
+    "fig1": {
+        "n": 10, "alpha": 0.05, "procedures": ["gen_simes", "classic_simes"], "reps": 50_000,
+        "metrics": ["power_at_least_k", "kfwer"],
+        "axes": [("k", (2, 3)), _equicorr_axis(0.0, 0.25, 0.5, 0.75), ("n1", range(11))],
+        "seed": 101_000, "name": "fig1-rho{rho:g}-k{k}-n1_{n1}",
+    },
+    "fig2": {
+        "n": 100, "alpha": 0.05, "reps": 20_000,
+        "procedures": ["gen_hochberg_stepup", "lr_stepup", "classic_hochberg"],
+        "metrics": ["ave_power", "kfwer", "power_at_least_k"],
+        "axes": [("k", (2, 3)), _equicorr_axis(0.0, 0.1, 0.25, 0.5, 0.75),
+                 ("n1", (10, 25, 50, 75, 90))],
+        "seed": 102_000, "name": "fig2-rho{rho:g}-k{k}-n1_{n1}",
+    },
     # two-block factor model; effects sit on the high-loading (last) block
-    out = []
-    for idx, n1 in enumerate((0, 2, 5, 10, 15, 20)):
-        mu = [0.0] * (20 - n1) + [2.0] * n1
-        out.append(
-            ExperimentConfig(
-                n=20,
-                k=2,
-                alpha=0.05,
-                model=_models.factor_normal(_fig3_loadings()),
-                procedures=("gen_simes", "classic_simes"),
-                reps=20_000,
-                seed=103_000 + idx,
-                name=f"fig3-k2-n1_{n1}",
-                mu=tuple(mu),
-                metrics=("power_at_least_k", "power_at_least_k_false", "kfwer"),
-            )
-        )
-    return out
-
-
-def _study_fig4():
-    out = []
-    idx = 0
-    for dof in (2, 5, 10, 30):
-        model = _models.equicorrelated_t(0.25, dof, 2_000_000, 424_242)
-        for n1 in (0, 2, 5, 8, 10):
-            out.append(
-                ExperimentConfig(
-                    n=10,
-                    k=2,
-                    alpha=0.05,
-                    model=model,
-                    procedures=("gen_simes", "classic_simes"),
-                    reps=20_000,
-                    seed=104_000 + idx,
-                    name=f"fig4-rho0.25-k2-dof{dof}-n1_{n1}",
-                    n1=n1,
-                    metrics=("power_at_least_k", "kfwer"),
-                )
-            )
-            idx += 1
-    return out
-
-
-def _study_fig5():
-    out = []
-    idx = 0
-    for k in (10, 25):
-        for n1 in (100, 250, 500, 750, 900):
-            out.append(
-                ExperimentConfig(
-                    n=1000,
-                    k=k,
-                    alpha=0.05,
-                    model=_models.independent(),
-                    procedures=("gen_hochberg_stepup", "lr_stepup", "classic_hochberg"),
-                    reps=20_000,
-                    seed=105_000 + idx,
-                    name=f"fig5-rho0-k{k}-n1_{n1}",
-                    n1=n1,
-                    metrics=("ave_power", "kfwer"),
-                )
-            )
-            idx += 1
-    return out
-
-
-def _study_table2():
-    out = []
-    idx = 0
-    for n in (10, 20):
-        for k in (2, 3):
-            for rho in (0.0, 0.25, 0.5, 0.75):
-                out.append(
-                    ExperimentConfig(
-                        n=n,
-                        k=k,
-                        alpha=0.05,
-                        model=_models.equicorrelated_normal(rho),
-                        procedures=("gen_simes",),
-                        reps=50_000,
-                        seed=106_000 + idx,
-                        name=f"table2-rho{_rho_token(rho)}-k{k}-n{n}",
-                        n1=0,
-                        metrics=("partial_rejections", "kfwer"),
-                    )
-                )
-                idx += 1
-    return out
-
-
-_STUDIES = {
-    "fig1": _study_fig1,
-    "fig2": _study_fig2,
-    "fig3": _study_fig3,
-    "fig4": _study_fig4,
-    "fig5": _study_fig5,
-    "table2": _study_table2,
+    "fig3": {
+        "n": 20, "k": 2, "alpha": 0.05, "reps": 20_000,
+        "model": {"kind": "factor", "loadings": _FIG3_LOADINGS},
+        "procedures": ["gen_simes", "classic_simes"],
+        "metrics": ["power_at_least_k", "power_at_least_k_false", "kfwer"],
+        "axes": [("n1", [(n1, {"mu": [0.0] * (20 - n1) + [2.0] * n1})
+                         for n1 in (0, 2, 5, 10, 15, 20)])],
+        "seed": 103_000, "name": "fig3-k2-n1_{n1}",
+    },
+    "fig4": {
+        "n": 10, "k": 2, "alpha": 0.05, "reps": 20_000,
+        "procedures": ["gen_simes", "classic_simes"], "metrics": ["power_at_least_k", "kfwer"],
+        "axes": [("dof", [(dof, {"model": {"kind": "t", "rho": 0.25, "dof": dof,
+                                           "samples": 2_000_000, "seed": 424_242}})
+                          for dof in (2, 5, 10, 30)]),
+                 ("n1", (0, 2, 5, 8, 10))],
+        "seed": 104_000, "name": "fig4-rho0.25-k2-dof{dof}-n1_{n1}",
+    },
+    "fig5": {
+        "n": 1000, "alpha": 0.05, "reps": 20_000, "model": {"kind": "independent"},
+        "procedures": ["gen_hochberg_stepup", "lr_stepup", "classic_hochberg"],
+        "metrics": ["ave_power", "kfwer"],
+        "axes": [("k", (10, 25)), ("n1", (100, 250, 500, 750, 900))],
+        "seed": 105_000, "name": "fig5-rho0-k{k}-n1_{n1}",
+    },
+    "table2": {
+        "alpha": 0.05, "procedures": ["gen_simes"], "reps": 50_000, "n1": 0,
+        "metrics": ["partial_rejections", "kfwer"],
+        "axes": [("n", (10, 20)), ("k", (2, 3)), _equicorr_axis(0.0, 0.25, 0.5, 0.75)],
+        "seed": 106_000, "name": "table2-rho{rho:g}-k{k}-n{n}",
+    },
 }
 
 
 def canned_study_names() -> tuple:
-    return tuple(sorted(_STUDIES))
+    return tuple(sorted(STUDY_GRIDS))
 
 
 def canned_study_configs(spec: str) -> tuple:
@@ -491,7 +462,7 @@ def canned_study_configs(spec: str) -> tuple:
     """
     parts = spec.split("-")
     base = parts[0]
-    if base not in _STUDIES:
+    if base not in STUDY_GRIDS:
         raise ConfigurationError(
             f"unknown study {base!r}; available: {', '.join(canned_study_names())}"
         )
@@ -508,7 +479,7 @@ def canned_study_configs(spec: str) -> tuple:
                 raise ValueError
         except ValueError:
             raise ConfigurationError(f"bad study filter {token!r} in {spec!r}")
-    configs = _STUDIES[base]()
+    configs = expand_grid(STUDY_GRIDS[base])
     if want_rho is not None:
         configs = [c for c in configs if c.model.rho == want_rho]
     if want_k is not None:

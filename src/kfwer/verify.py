@@ -23,7 +23,7 @@ from .critvals import (
 from .errors import ConfigurationError
 from .models import equicorrelated_normal, gk_evaluate, independent
 from .procedures import PValueVector, stepup_apply
-from .simlab import ExperimentConfig, run_study
+from .simlab import STUDY_GRIDS, expand_grid, run_study
 
 __all__ = [
     "CheckResult",
@@ -98,28 +98,13 @@ def suite_table1(seed: int = DEFAULT_SEED):
 
 
 def suite_table2(seed: int = DEFAULT_SEED, reps: int = 50_000):
-    """Reproduce the published partial-rejection rates by simulation."""
-    configs = []
-    refs = []
-    idx = 0
-    for (n, k), row in sorted(TABLE2.items()):
-        for rho, ref in zip(_RHOS, row):
-            configs.append(
-                ExperimentConfig(
-                    n=n,
-                    k=k,
-                    alpha=0.05,
-                    model=equicorrelated_normal(rho),
-                    procedures=("gen_simes",),
-                    reps=reps,
-                    seed=seed + idx,
-                    name=f"table2 n={n} k={k} rho={rho:g}",
-                    n1=0,
-                    metrics=("partial_rejections",),
-                )
-            )
-            refs.append(ref)
-            idx += 1
+    """Reproduce the published partial-rejection rates by simulation, on
+    the canned table2 grid with this suite's seeds, names, metric and reps."""
+    configs = expand_grid({
+        **STUDY_GRIDS["table2"], "seed": seed, "reps": reps,
+        "name": "table2 n={n} k={k} rho={rho:g}", "metrics": ["partial_rejections"],
+    })
+    refs = [TABLE2[(c.n, c.k)][_RHOS.index(c.model.rho)] for c in configs]
     checks = []
     for outcome, ref in zip(run_study(configs), refs):
         tol = 4.0 * math.sqrt(ref * (1.0 - ref) / reps)

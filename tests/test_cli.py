@@ -84,6 +84,15 @@ def test_critvals_t_model_spec(capsys):
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_critvals_binomial_past_float_range_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "critvals", "--procedure", "gen-simes", "--n", "1100",
+        "--k", "550", "--alpha", "0.05", "--model", "equicorr:0.3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "C(1100, 550) exceeds the largest float" in err
+
+
 def test_critvals_t_model_below_store_resolution_exits_3(capsys):
     # alpha_3's target 3.09e-7 lies below 1/200000, the store's resolution
     code, out, err = run_cli(

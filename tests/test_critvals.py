@@ -11,6 +11,7 @@ from kfwer import (
     PROCEDURES,
     ConfigurationError,
     ConvergenceError,
+    ScaleError,
     binomial_tail,
     classic_critvals,
     critical_value_set,
@@ -211,3 +212,13 @@ def test_tied_constants_stay_legal(monkeypatch):
                         lambda model, k, targets: np.full(len(targets), 0.02))
     cs = gen_hochberg_critvals(8, 2, 0.0422, equicorrelated_normal(0.37))
     assert cs.values == (0.02,) * 7
+
+
+@pytest.mark.parametrize("build,n,k", [
+    (gen_simes_critvals, 1100, 550),
+    (gen_hochberg_critvals, 10_000, 200),
+])
+def test_binomial_targets_past_the_float_range_raise_scale_error(build, n, k):
+    # C(n, k) > 1.8e308 cannot be a float target; this is a usage error, not a crash
+    with pytest.raises(ScaleError, match=rf"C\({n}, {k}\) exceeds the largest float"):
+        build(n, k, 0.05, equicorrelated_normal(0.3))

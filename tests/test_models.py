@@ -17,11 +17,32 @@ from kfwer import (
     gk_factor_subset,
     gk_quantile,
     independent,
+    parse_model,
 )
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors and specs
+
+
+@pytest.mark.parametrize("model", [
+    independent(),
+    equicorrelated_normal(0.25),
+    equicorrelated_normal(0.1 + 0.2),
+    equicorrelated_t(0.1 + 0.2, 5, 2000, 3),
+], ids=lambda m: m.describe())
+def test_describe_round_trips_through_parse_model(model):
+    assert parse_model(model.describe()) == model
+
+
+def test_model_string_and_object_are_one_grammar(tmp_path):
+    path = tmp_path / "loadings.txt"
+    path.write_text("0.5, 0.6\n")
+    assert parse_model(f"factor:{path}") == parse_model({"kind": "factor", "loadings": [0.5, 0.6]})
+    assert parse_model("t:0.25:5:2000:3") == parse_model(
+        {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3})
+    assert parse_model("equicorr:0.5") == parse_model({"kind": "equicorr", "rho": 0.5})
+    assert factor_normal([0.5, 0.6]).describe() == "factor:n=2"
 
 
 def test_model_constructor_validation():

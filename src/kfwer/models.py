@@ -14,14 +14,15 @@ factor_normal
     loadings lambda_i give correlations lambda_i*lambda_j; size-k subsets
     no longer share one G_k, so the subset average G~_k is used.
 equicorrelated_t
-    the equicorrelated normal divided by a shared chi-square scale;
-    G_k is estimated from a large seeded sample (no cheap integral).
+    the equicorrelated normal divided by a shared chi scale; G_k by a
+    fixed two-dimensional quadrature over the normal factor and the
+    scale, every value checked against a rule of twice the nodes.
 empirical
     seeded sample of max-of-k values built by gk_empirical_build.
 """
 
 import math
-import threading
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,7 +30,10 @@ from itertools import product
 from math import comb
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri, roots_legendre, stdtr
+from scipy.special import (
+    chdtri, gammaln, log_ndtr, logsumexp, ndtr, ndtri, roots_hermitenorm, roots_legendre, stdtr,
+    stdtrit,
+)
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
 from .numerics import find_roots
@@ -107,8 +111,7 @@ class NullModel:
         if self.kind == "factor_normal":
             return f"factor:n={len(self.loadings)}"
         if self.kind == "equicorrelated_t":
-            size, seed = self.store_token
-            return f"t:{self.rho!r}:{self.dof}:{size}:{seed}"
+            return f"t:{self.rho!r}:{self.dof}"
         if self.kind == "empirical":
             return f"empirical:k={self.built_k}"
         return self.kind
@@ -143,22 +146,10 @@ def factor_normal(loadings) -> NullModel:
     return NullModel(kind="factor_normal", loadings=as_floats("loadings", loadings))
 
 
-def equicorrelated_t(rho: float, dof: int, sample_size: int, seed: int) -> NullModel:
-    """Equicorrelated t model whose G_k is estimated from a seeded sample.
-
-    The max-of-k sample for a given k is drawn on first use and cached
-    for the life of the process; sample_size of 10**7 keeps the CDF
-    error near 1e-4.
-    """
-    sample_size = as_int("sample_size", sample_size)
-    if sample_size < 1000:
-        raise ConfigurationError("sample_size below 1000 is too small to be useful")
-    return NullModel(
-        kind="equicorrelated_t",
-        rho=as_float("rho", rho),
-        dof=as_int("dof", dof),
-        store_token=(sample_size, as_int("seed", seed)),
-    )
+def equicorrelated_t(rho: float, dof: int) -> NullModel:
+    """Equicorrelated normal with correlation rho over a shared chi_dof / sqrt(dof)
+    scale: every margin is t with dof degrees of freedom."""
+    return NullModel(kind="equicorrelated_t", rho=as_float("rho", rho), dof=as_int("dof", dof))
 
 
 # kind -> (constructor, ordered fields): one grammar for the string form
@@ -167,8 +158,22 @@ _SPEC_KINDS = {
     "independent": (independent, ()),
     "equicorr": (equicorrelated_normal, ("rho",)),
     "factor": (factor_normal, ("loadings",)),
-    "t": (equicorrelated_t, ("rho", "dof", "samples", "seed")),
+    "t": (equicorrelated_t, ("rho", "dof")),
 }
+
+# t:RHO:DOF:SAMPLES:SEED named the sample store G_k of the t model was once
+# estimated from; the two fields are still checked, then dropped with a warning
+_LEGACY_T_FIELDS = ("samples", "seed")
+
+
+def _drop_legacy_t_fields(spec: dict):
+    as_int("sample_size", spec["samples"])
+    as_int("seed", spec["seed"])
+    warnings.warn(
+        "the samples and seed fields of a t model are unused (G_k of the t model is "
+        "computed by quadrature) and will be refused in a later release; write t:RHO:DOF",
+        FutureWarning, stacklevel=3,
+    )
 
 
 def _read_loadings(path: str):
@@ -192,18 +197,21 @@ def _number(text: str):
 def parse_model(spec) -> NullModel:
     """A NullModel from its string or JSON (dict) spec.
 
-    Strings are independent | equicorr:RHO | factor:FILE |
-    t:RHO:DOF:SAMPLES:SEED, where FILE holds the loadings separated by
-    commas or whitespace; a dict names the same fields as keys beside
-    "kind". The constructors check each value.
+    Strings are independent | equicorr:RHO | factor:FILE | t:RHO:DOF,
+    where FILE holds the loadings separated by commas or whitespace; a
+    dict names the same fields as keys beside "kind". The constructors
+    check each value. The older t:RHO:DOF:SAMPLES:SEED form (keys samples
+    and seed) still parses, with a FutureWarning that those are unused.
     """
     if isinstance(spec, str):
         kind, *fields = spec.split(":")
         names = _SPEC_KINDS[kind][1] if kind in _SPEC_KINDS else None
+        if kind == "t" and len(fields) == len(names) + len(_LEGACY_T_FIELDS):
+            names += _LEGACY_T_FIELDS
         if names is None or len(fields) != len(names):
             raise ConfigurationError(
                 f"bad model spec {spec!r}; expected independent | equicorr:RHO | "
-                "factor:FILE | t:RHO:DOF:SAMPLES:SEED"
+                "factor:FILE | t:RHO:DOF"
             )
         convert = _read_loadings if kind == "factor" else _number
         try:
@@ -219,6 +227,9 @@ def parse_model(spec) -> NullModel:
         )
     build, names = _SPEC_KINDS[kind]
     keys = set(spec) - {"kind"}
+    if kind == "t" and keys == {*names, *_LEGACY_T_FIELDS}:
+        _drop_legacy_t_fields(spec)
+        keys -= set(_LEGACY_T_FIELDS)
     if keys != set(names):
         raise ConfigurationError(
             f"model kind {kind!r} takes keys {sorted(names)}, got {sorted(keys)}"
@@ -348,24 +359,6 @@ def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> Nul
     )
 
 
-_t_stores: dict = {}
-_t_lock = threading.Lock()
-
-
-def _t_store(model: NullModel, k: int) -> np.ndarray:
-    size, seed = model.store_token
-    key = (model.rho, model.dof, size, seed, k)
-    arr = _t_stores.get(key)
-    if arr is None:
-        with _t_lock:
-            arr = _t_stores.get(key)
-            if arr is None:
-                draws = draw_null_pvalues(model, k, size, seed)
-                arr = np.sort(draws.max(axis=1)) if k > 1 else np.sort(draws[:, 0])
-                _t_stores[key] = arr
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # G_k evaluation and inversion
 
@@ -466,16 +459,100 @@ def _composition_classes(loadings: tuple, k: int):
     return tuple((math.log(w) - math.log(total), v, m) for w, v, m in classes)
 
 
+# Nodes per axis of the equicorrelated t rule. It is not uniformly
+# accurate (one degree of freedom at u near 1e-6: 1e-1; rho = 0.9 with
+# k = 10: 5e-4), so every t value is recomputed on a rule of 2 T_NODES
+# nodes per axis and must agree with it to T_REL_TOL relative.
+T_NODES = 128
+T_REL_TOL = 1e-8
+# chi-square upper tail left beyond the last scale node
+_T_TAIL = 1e-18
+# (u, y, v) points held in one pass of the t rule
+_T_CHUNK = 1 << 20
+# log weight below log u^k at which a point of the t rule is dropped
+_T_DROP = 60.0
+
+
+@lru_cache(maxsize=2)
+def _hermite_normal(nodes: int):
+    """Nodes and log weights of E[f(Y)], Y ~ N(0, 1)."""
+    y, weights = roots_hermitenorm(nodes)
+    return y, np.log(weights) - _LOG_SQRT_2PI
+
+
+@lru_cache(maxsize=32)
+def _chi_graded(dof: int, nodes: int):
+    """Nodes and log weights of E[f(V)], V ~ chi_dof, cut at the 1 - _T_TAIL
+    quantile v_max. Gauss-Legendre in tau with v = v_max tau^2 packs nodes
+    near 0, where a small u puts the mass of the t integrand."""
+    x, weights = roots_legendre(nodes)
+    tau = 0.5 * (x + 1.0)
+    v_max = math.sqrt(chdtri(dof, _T_TAIL))
+    v = v_max * tau * tau
+    log_density = ((dof - 1.0) * np.log(v) - 0.5 * v * v
+                   - (0.5 * dof - 1.0) * math.log(2.0) - gammaln(0.5 * dof))
+    # dv = 2 v_max tau dtau, and dtau = dx / 2
+    return v, np.log(weights * v_max * tau) + log_density
+
+
+def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray:
+    """log G_k(u) of the equicorrelated t on a nodes x nodes tensor rule.
+
+    G_k(u) = E_{V,Y}[Phi((sqrt(rho) Y - q_u V / sqrt(dof)) / sqrt(1 - rho))^k]
+    with Y ~ N(0, 1), V ~ chi_dof and q_u the upper-u t quantile:
+    Gauss-Hermite in Y times _chi_graded in V, summed by logsumexp, over
+    chunks of u that keep each pass near _T_CHUNK points.
+    """
+    y, log_wy = _hermite_normal(nodes)
+    v, log_wv = _chi_graded(model.dof, nodes)
+    s = math.sqrt(1.0 - model.rho)
+    # the (y, v) grid flattened to one axis of points
+    ay = np.repeat((math.sqrt(model.rho) / s) * y, nodes)
+    cv = np.tile(v / (s * math.sqrt(model.dof)), nodes)
+    log_w = np.add.outer(log_wy, log_wv).ravel()
+    flat = u.ravel()
+    q = -stdtrit(model.dof, flat)
+    out = np.empty(q.size)
+    step = max(1, _T_CHUNK // log_w.size)
+    for lo in range(0, q.size, step):
+        part = slice(lo, lo + step)
+        # G_k(u) >= u^k, and the integrand is at most 1: points whose weight
+        # lies _T_DROP below u^k add less than 1e-20 of G_k in all
+        keep = log_w >= k * math.log(flat[part].min()) - _T_DROP
+        terms = k * log_ndtr(ay[keep] - q[part, None] * cv[keep]) + log_w[keep]
+        peak = np.maximum(terms.max(axis=1), np.finfo(float).min)  # -inf stays -inf
+        out[part] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    return out.reshape(u.shape)
+
+
+def _check_t(model: NullModel, k: int, u, log_want, want: str) -> None:
+    """Raise ConvergenceError unless G_k(u) on the 2 T_NODES rule lies
+    within T_REL_TOL relative of exp(log_want), the value named by want."""
+    u = np.asarray(u, dtype=float)
+    rel = np.abs(np.expm1(_log_gk_t(model, k, u, 2 * T_NODES) - log_want))
+    bad = np.flatnonzero(~(rel <= T_REL_TOL))
+    if bad.size:
+        j = int(bad[0])
+        raise ConvergenceError(
+            f"model {model.describe()}: G_{k}({float(u[j])!r}) on the {2 * T_NODES}-node "
+            f"rule is {rel[j]:.2g} relative from its {want}, beyond {T_REL_TOL:g}; the t "
+            "quadrature cannot resolve this dof, rho, k and u"
+        )
+
+
 def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     """log G_k(u) for a vector of u in (0, 1), for the analytic model kinds.
 
     Independent models (and rho = 0) give k log u. The one-factor normal
     kinds sum _log_one_factor over composition classes by logsumexp: the
     equicorrelated model is one class, the factor model averages over
-    all size-k subsets.
+    all size-k subsets. The t kind is _log_gk_t on T_NODES nodes, not
+    checked here; gk_evaluate and gk_quantiles check what they return.
     """
     k = _validate_k(k)
     u = np.asarray(u, dtype=float)
+    if model.kind == "equicorrelated_t":
+        return _log_gk_t(model, k, u, T_NODES)
     if model.kind == "independent" or (model.kind == "equicorrelated_normal" and model.rho == 0.0):
         return k * np.log(u)
     if model.kind == "equicorrelated_normal":
@@ -492,8 +569,6 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
 
 
 def _sample_store(model: NullModel, k: int) -> np.ndarray:
-    if model.kind == "equicorrelated_t":
-        return _t_store(model, k)
     if k != model.built_k:
         raise ConfigurationError(
             f"empirical model was built for k={model.built_k}, asked for k={k}"
@@ -521,7 +596,9 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
     """G_k(u): null CDF of the maximum of any k p-values at u.
 
     Outside (0, 1) the exact endpoint values 0 and 1 are returned. The
-    analytic kinds other than u^k are exp(log_gk) at one point.
+    analytic kinds other than u^k are exp(log_gk) at one point; a t value
+    that a rule of twice the nodes does not confirm to T_REL_TOL raises
+    ConvergenceError.
     """
     k = _validate_k(k)
     if not math.isfinite(u):
@@ -530,11 +607,14 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
         return 0.0
     if u >= 1.0:
         return 1.0
-    if model.kind in ("equicorrelated_t", "empirical"):
+    if model.kind == "empirical":
         return _ecdf(_sample_store(model, k), u)
     if model.kind == "independent" or (model.kind == "equicorrelated_normal" and model.rho == 0.0):
         return u**k
-    return float(np.exp(log_gk(model, k, [u])[0]))
+    log_g = log_gk(model, k, [u])
+    if model.kind == "equicorrelated_t":
+        _check_t(model, k, [u], log_g, f"{T_NODES}-node value")
+    return float(np.exp(log_g[0]))
 
 
 def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
@@ -543,15 +623,17 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     Analytic kinds solve all targets in one batched bracketed solve in
     (log u, log target) that stops once |log G_k(q_j) - log target_j| <=
     ROOT_TOL. Positive dependence gives u^k <= G_k(u) <= u, so each root
-    lies in [target, target^(1/k)]. Sample-backed kinds return empirical
-    quantiles and raise ConvergenceError below 1/(store size).
+    lies in [target, target^(1/k)]. A t root at which a rule of twice the
+    nodes misses the target by more than T_REL_TOL relative raises
+    ConvergenceError. The empirical kind returns empirical quantiles and
+    raises ConvergenceError below 1/(store size).
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
     outside = ~((targets > 0.0) & (targets < 1.0))
     if outside.any():
         raise DomainError(f"target must lie in (0, 1), got {float(targets[outside][0])!r}")
-    if model.kind in ("equicorrelated_t", "empirical"):
+    if model.kind == "empirical":
         store = _sample_store(model, k)
         return np.array([_ecdf_quantile(store, float(x)) for x in targets])
     log_targets = np.log(targets)
@@ -559,7 +641,10 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
         lambda x, j: log_gk(model, k, np.exp(x)) - log_targets[j],
         log_targets, log_targets / k, ROOT_TOL,
     )
-    return np.exp(log_roots)
+    roots = np.exp(log_roots)
+    if model.kind == "equicorrelated_t":
+        _check_t(model, k, roots, log_targets, "target")
+    return roots
 
 
 def gk_quantile(model: NullModel, k: int, target: float) -> float:

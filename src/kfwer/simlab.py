@@ -22,7 +22,7 @@ Draw order per block, fixed by contract (see models.draw):
 
 Two salts keep the streams of different subsystems apart when a user
 reuses one seed: SIMLAB_SALT here, models.MODEL_SALT for null-only draws
-(draw_null_pvalues: the bounds oracles and the t and empirical stores).
+(draw_null_pvalues: the bounds oracles and the empirical G_k store).
 
 Metrics, all proportions over replications:
   power_at_least_k        k or more rejections in total
@@ -427,8 +427,7 @@ STUDY_GRIDS = {
     "fig4": {
         "n": 10, "k": 2, "alpha": 0.05, "reps": 20_000,
         "procedures": ["gen_simes", "classic_simes"], "metrics": ["power_at_least_k", "kfwer"],
-        "axes": [("dof", [(dof, {"model": {"kind": "t", "rho": 0.25, "dof": dof,
-                                           "samples": 2_000_000, "seed": 424_242}})
+        "axes": [("dof", [(dof, {"model": {"kind": "t", "rho": 0.25, "dof": dof}})
                           for dof in (2, 5, 10, 30)]),
                  ("n1", (0, 2, 5, 8, 10))],
         "seed": 104_000, "name": "fig4-rho0.25-k2-dof{dof}-n1_{n1}",
@@ -458,7 +457,7 @@ def canned_study_configs(spec: str) -> tuple:
 
     The grammar is base[-rhoRHO][-kK][-dofDOF], e.g. "fig1-rho0.25-k2".
     Filters select on the model correlation, the config k, and the model
-    degrees of freedom.
+    degrees of freedom; each may appear once.
     """
     parts = spec.split("-")
     base = parts[0]
@@ -466,26 +465,21 @@ def canned_study_configs(spec: str) -> tuple:
         raise ConfigurationError(
             f"unknown study {base!r}; available: {', '.join(canned_study_names())}"
         )
-    want_rho = want_k = want_dof = None
+    convert = {"rho": float, "dof": int, "k": int}
+    wanted = {}
     for token in parts[1:]:
+        name = next((n for n in convert if token.startswith(n)), "")
         try:
-            if token.startswith("rho"):
-                want_rho = float(token[3:])
-            elif token.startswith("dof"):
-                want_dof = int(token[3:])
-            elif token.startswith("k"):
-                want_k = int(token[1:])
-            else:
-                raise ValueError
-        except ValueError:
+            value = convert[name](token[len(name):])
+        except (KeyError, ValueError):
             raise ConfigurationError(f"bad study filter {token!r} in {spec!r}")
-    configs = expand_grid(STUDY_GRIDS[base])
-    if want_rho is not None:
-        configs = [c for c in configs if c.model.rho == want_rho]
-    if want_k is not None:
-        configs = [c for c in configs if c.k == want_k]
-    if want_dof is not None:
-        configs = [c for c in configs if c.model.dof == want_dof]
+        if name in wanted:
+            raise ConfigurationError(f"repeated filter {name!r} in {spec!r}")
+        wanted[name] = value
+    configs = [c for c in expand_grid(STUDY_GRIDS[base])
+               if wanted.get("rho", c.model.rho) == c.model.rho
+               and wanted.get("k", c.k) == c.k
+               and wanted.get("dof", c.model.dof) == c.model.dof]
     if not configs:
         raise ConfigurationError(f"no configs in {base!r} match {spec!r}")
     return tuple(configs)

@@ -77,7 +77,7 @@ def test_critvals_factor_model_file(tmp_path, capsys):
 def test_critvals_t_model_spec(capsys):
     code, out, _ = run_cli(
         capsys, "critvals", "--procedure", "gen-simes", "--n", "4",
-        "--k", "2", "--alpha", "0.05", "--model", "t:0.25:5:2000:3",
+        "--k", "2", "--alpha", "0.05", "--model", "t:0.25:5",
     )
     assert code == 0
     vals = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
@@ -93,14 +93,16 @@ def test_critvals_binomial_past_float_range_exits_2(capsys):
     assert err.startswith("error:") and "C(1100, 550) exceeds the largest float" in err
 
 
-def test_critvals_t_model_below_store_resolution_exits_3(capsys):
-    # alpha_3's target 3.09e-7 lies below 1/200000, the store's resolution
-    code, out, err = run_cli(
-        capsys, "critvals", "--procedure", "gen-simes", "--n", "100",
-        "--k", "3", "--alpha", "0.05", "--model", "t:0.25:5:200000:7",
-    )
-    assert code == 3 and out == ""
-    assert "numerical failure" in err and "200000-draw" in err
+def test_critvals_legacy_t_spec_warns_and_exits_0(capsys):
+    # alpha_3's target 3.09e-7 lay below the resolution 1/200000 of the
+    # sample store SAMPLES:SEED once named; the exact t model solves it
+    with pytest.warns(FutureWarning, match="unused"):
+        code, out, err = run_cli(
+            capsys, "critvals", "--procedure", "gen-simes", "--n", "100",
+            "--k", "3", "--alpha", "0.05", "--model", "t:0.25:5:200000:7",
+        )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 101
 
 
 def test_critvals_usage_errors(capsys):
@@ -305,7 +307,7 @@ def test_simulate_output_independent_of_thread_count(tmp_path, capsys, monkeypat
                 {"kind": "independent"},
                 {"kind": "equicorr", "rho": 0.5},
                 {"kind": "factor", "loadings": [0.3, 0.5, 0.7, 0.9]},
-                {"kind": "t", "rho": 0.25, "dof": 5, "samples": 20_000, "seed": 3},
+                {"kind": "t", "rho": 0.25, "dof": 5},
             ))
         ],
     }
@@ -325,12 +327,14 @@ def test_simulate_study_filter(capsys):
     lines = out.splitlines()[1:]
     assert lines
     assert all(line.split(",")[0].startswith("fig1-rho0.75-k3") for line in lines)
+    code, out, err = run_cli(capsys, "simulate", "--study", "fig1-k2-k3")
+    assert code == 2 and out == "" and "repeated filter" in err
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2"])
+@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2", "fig4"])
 def test_simulate_study_output_matches_golden(capsys, study):
     # the determinism contract: a canned study's CSV never changes by a byte
     # unless its decisions or streams change on purpose
@@ -395,7 +399,7 @@ def test_simulate_rejects_bool_schema_version_and_non_string_name(tmp_path, caps
     assert err.startswith("error:") and fragment in err
 
 
-_T_MODEL = {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3}
+_T_MODEL = {"kind": "t", "rho": 0.25, "dof": 5}
 
 
 @pytest.mark.parametrize("override,fragment", [
@@ -410,8 +414,9 @@ _T_MODEL = {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3}
     ({"metrics": None}, "metrics must be a list"),
     ({"model": {"kind": "equicorr", "rho": "abc"}}, "rho must be a number"),
     ({"model": {**_T_MODEL, "dof": 5.5}}, "dof must be an integer"),
-    ({"model": {**_T_MODEL, "samples": "many"}}, "sample_size must be an integer"),
-    ({"model": {**_T_MODEL, "seed": 3.5}}, "seed must be an integer"),
+    # the unused legacy fields of a t model are still checked
+    ({"model": {**_T_MODEL, "samples": "many", "seed": 3}}, "sample_size must be an integer"),
+    ({"model": {**_T_MODEL, "samples": 2000, "seed": 3.5}}, "seed must be an integer"),
     ({"model": {"kind": "factor", "loadings": 0.5}}, "loadings must be a list"),
     ({"model": {"kind": ["t"]}}, "unknown model kind"),
 ])

@@ -16,6 +16,7 @@ from kfwer import (
     gk_factor_averaged,
     gk_factor_subset,
     gk_quantile,
+    gk_quantiles,
     independent,
     parse_model,
 )
@@ -29,7 +30,7 @@ from kfwer import (
     independent(),
     equicorrelated_normal(0.25),
     equicorrelated_normal(0.1 + 0.2),
-    equicorrelated_t(0.1 + 0.2, 5, 2000, 3),
+    equicorrelated_t(0.1 + 0.2, 5),
 ], ids=lambda m: m.describe())
 def test_describe_round_trips_through_parse_model(model):
     assert parse_model(model.describe()) == model
@@ -39,8 +40,7 @@ def test_model_string_and_object_are_one_grammar(tmp_path):
     path = tmp_path / "loadings.txt"
     path.write_text("0.5, 0.6\n")
     assert parse_model(f"factor:{path}") == parse_model({"kind": "factor", "loadings": [0.5, 0.6]})
-    assert parse_model("t:0.25:5:2000:3") == parse_model(
-        {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3})
+    assert parse_model("t:0.25:5") == parse_model({"kind": "t", "rho": 0.25, "dof": 5})
     assert parse_model("equicorr:0.5") == parse_model({"kind": "equicorr", "rho": 0.5})
     assert factor_normal([0.5, 0.6]).describe() == "factor:n=2"
 
@@ -57,9 +57,21 @@ def test_model_constructor_validation():
     with pytest.raises(ConfigurationError):
         factor_normal((0.0, 0.5))
     with pytest.raises(ConfigurationError):
-        equicorrelated_t(0.25, 0, 10_000, 7)
+        equicorrelated_t(0.25, 0)
     with pytest.raises(ConfigurationError):
-        equicorrelated_t(0.25, 5, 999, 7)
+        equicorrelated_t(1.0, 5)
+
+
+def test_legacy_t_spec_fields_are_checked_then_dropped_with_a_warning():
+    # SAMPLES:SEED named the sample store the t model no longer uses
+    legacy = {"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000, "seed": 3}
+    for spec in ("t:0.25:5:2000:3", legacy):
+        with pytest.warns(FutureWarning, match="unused"):
+            assert parse_model(spec) == equicorrelated_t(0.25, 5)
+    with pytest.raises(ConfigurationError, match="sample_size must be an integer"):
+        parse_model("t:0.25:5:2000.5:3")
+    with pytest.raises(ConfigurationError):
+        parse_model({"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000})
 
 
 def test_subset_index_validation():
@@ -237,19 +249,25 @@ def test_empirical_build_input_validation():
         gk_empirical_build(lambda c, s: np.zeros((c, 3)), k=2, sample_size=2000, seed=1)
 
 
-def test_t_model_store_is_deterministic_and_monotone():
-    m = equicorrelated_t(0.25, 10, 20_000, seed=77)
-    m2 = equicorrelated_t(0.25, 10, 20_000, seed=77)
-    assert gk_evaluate(m, 2, 0.1) == gk_evaluate(m2, 2, 0.1)
+def test_t_model_quadrature_matches_seeded_ecdf():
+    # the constants of a gen-Simes set under the t model, each checked
+    # against the ECDF of 10^6 seeded max-of-2 t draws to 4 binomial SE
+    m = equicorrelated_t(0.25, 10)
+    assert gk_evaluate(m, 2, 0.1) == gk_evaluate(equicorrelated_t(0.25, 10), 2, 0.1)
     vals = [gk_evaluate(m, 2, u) for u in (0.01, 0.05, 0.1, 0.5)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    q = gk_quantile(m, 2, 0.05)
-    assert gk_evaluate(m, 2, q) >= 0.05
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+    size = 10**6
+    ecdf = gk_empirical_build(m, 2, size, seed=77)
+    targets = [0.05 * math.comb(i, 2) / math.comb(10, 2) for i in range(2, 11)]
+    for target, q in zip(targets, gk_quantiles(m, 2, targets)):
+        assert gk_evaluate(m, 2, q) == pytest.approx(target, rel=1e-8)
+        band = 4.0 * math.sqrt(target * (1.0 - target) / size)
+        assert abs(gk_evaluate(ecdf, 2, q) - target) <= band, (q, target)
 
 
 def test_t_model_large_dof_approaches_normal():
-    # with dof = 400 the t draws are close to the normal model
-    m = equicorrelated_t(0.25, 400, 400_000, seed=3)
+    # with dof = 400 the t model is close to the normal one
+    m = equicorrelated_t(0.25, 400)
     got = gk_evaluate(m, 2, 0.1)
     want = gk_evaluate(equicorrelated_normal(0.25), 2, 0.1)
     assert abs(got - want) < 0.004

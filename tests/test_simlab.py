@@ -105,7 +105,7 @@ def statistics_of(p):
     return -ndtri(p)
 
 
-T_MODEL = equicorrelated_t(0.25, 7, 1000, 0)  # store size and seed unused by draw
+T_MODEL = equicorrelated_t(0.25, 7)
 
 
 def test_samplers_are_deterministic():
@@ -151,7 +151,7 @@ def test_factor_sampler_cross_block_correlation():
 def test_t_sampler_null_marginals_uniform():
     import scipy.stats
 
-    p = sample(equicorrelated_t(0.25, 5, 1000, 0), np.zeros(2), 40_000, seed=66)
+    p = sample(equicorrelated_t(0.25, 5), np.zeros(2), 40_000, seed=66)
     assert scipy.stats.kstest(p[:, 1], "uniform").pvalue > 1e-4
 
 
@@ -240,7 +240,7 @@ def test_run_experiment_matches_decision_reports(model, procs):
 
 def test_run_experiment_t_model_matches_decision_reports():
     cfg = ExperimentConfig(n=4, k=2, alpha=0.2,
-                           model=equicorrelated_t(0.25, 6, 50_000, seed=2),
+                           model=equicorrelated_t(0.25, 6),
                            procedures=("lr_stepup",), reps=1000, seed=11, n1=1)
     report = run_experiment(cfg)
     want = mirror_metrics(cfg)
@@ -415,7 +415,7 @@ CANNED_GRID_DIGESTS = {
     "fig1": (88, "c59cbe7dfb71fd59a75f0e1bd77987442614c2c55123da9ba452c3825263fcec"),
     "fig2": (50, "9079ebcf909ef66e68a29cbf7d8eba778fd072262a28a0af22e35a8e166f5cd8"),
     "fig3": (6, "231e7ef68615a0ec01da5aef1d52be960a0ee6d25b827ec23c709ecf32f6a621"),
-    "fig4": (20, "69c7948adfe6749dc61ed0a2806429d742e33021c7971b941c4646b9860ce6f7"),
+    "fig4": (20, "fa637140ca0995268b7af7d51990d0dd7b8ec32d3d8cea837a0151d579d80972"),
     "fig5": (10, "c36010b467ba98d508c1d13d9bfb86be4679851670398fee9de24bdc4d95c4fd"),
     "table2": (16, "84a7341dc410bc79c53bbe976a5ae8ae6decf670d88204bda3e50d5c83c253ce"),
 }
@@ -437,6 +437,10 @@ def test_canned_study_filters():
     assert one_dof and all(c.model.dof == 5 for c in one_dof)
     with pytest.raises(ConfigurationError):
         canned_study_configs("fig1-rho0.33")
+    with pytest.raises(ConfigurationError, match="repeated filter 'k'"):
+        canned_study_configs("fig1-k2-k3")
+    with pytest.raises(ConfigurationError, match="bad study filter"):
+        canned_study_configs("fig1-n10")
     with pytest.raises(ConfigurationError):
         canned_study_configs("fig9")
 

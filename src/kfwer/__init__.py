@@ -49,7 +49,6 @@ from .models import (
     factor_normal,
     gk_empirical_build,
     gk_evaluate,
-    gk_factor_averaged,
     gk_factor_subset,
     gk_quantile,
     gk_quantiles,
@@ -57,7 +56,7 @@ from .models import (
     log_gk,
     parse_model,
 )
-from .numerics import binomial_tail, find_roots, normal_cdf, normal_quantile
+from .numerics import binomial_tail, find_roots
 from .procedures import (
     DecisionRecord,
     DecisionReport,
@@ -84,11 +83,11 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",
-    "normal_cdf", "normal_quantile", "find_roots", "binomial_tail",
+    "find_roots", "binomial_tail",
     "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
     "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
-    "gk_factor_subset", "gk_factor_averaged",
+    "gk_factor_subset",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
     "gen_simes_critvals", "gen_simes_critvals_closed_form",
     "gen_hochberg_critvals", "lr_critvals", "romano_critvals",

@@ -53,7 +53,6 @@ __all__ = [
     "gk_quantiles",
     "log_gk",
     "gk_factor_subset",
-    "gk_factor_averaged",
     "draw",
     "draw_null_pvalues",
     "stream_word",
@@ -666,15 +665,3 @@ def gk_factor_subset(model: NullModel, subset, u: float) -> float:
         return 1.0
     lam, mult = np.unique([model.loadings[i - 1] for i in members], return_counts=True)
     return float(np.exp(_log_one_factor(lam, mult.astype(float), -ndtri(np.array([u])))[0]))
-
-
-def gk_factor_averaged(model: NullModel, k: int, u: float) -> float:
-    """Average of Pr{max over J <= u} across all size-k subsets J.
-
-    Subsets with the same multiset of loadings share one integral, so
-    the cost is the number of composition classes of the distinct
-    loading values, not C(n, k).
-    """
-    if model.kind != "factor_normal":
-        raise ConfigurationError("gk_factor_averaged requires a factor model")
-    return gk_evaluate(model, k, u)

@@ -1,40 +1,23 @@
 """Numerical kernels.
 
-Normal CDF and quantile, binomial tail sums, and a batched bracketed
-root finder. Everything downstream (null models, critical values,
-probability oracles) is built on these four operations.
+Binomial tail sums and a batched bracketed root finder; the normal CDF
+and quantile come straight from scipy.special (ndtr, ndtri).
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr, ndtri
+from scipy.special import gammaln, logsumexp
 
 from .errors import BracketingError, ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
-    "normal_cdf",
-    "normal_quantile",
     "find_roots",
     "binomial_tail",
 ]
 
 # regula falsi steps find_roots takes before it gives up on open roots
 MAX_STEPS = 100
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x)."""
-    if not math.isfinite(x):
-        raise DomainError(f"normal_cdf requires a finite argument, got {x!r}")
-    return float(ndtr(x))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF, defined on the open interval (0, 1)."""
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"normal_quantile requires 0 < p < 1, got {p!r}")
-    return float(ndtri(p))
 
 
 def find_roots(f, lo, hi, tol: float) -> np.ndarray:

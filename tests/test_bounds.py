@@ -1,6 +1,7 @@
 """Probability identities: exact small-n quadrature, Monte Carlo, and bounds."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ import pytest
 from kfwer import (
     ConfigurationError,
     CriticalVector,
+    NullModel,
     ProbEstimate,
     ScaleError,
     bonferroni_eq23,
     bound_eq22,
+    draw_null_pvalues,
     equicorrelated_normal,
+    factor_normal,
     gen_simes_critvals,
+    gen_simes_critvals_closed_form,
     independent,
     lemma21_rhs_mc,
     union_prob_exact_smalln,
@@ -121,6 +126,14 @@ def test_union_mc_accepts_callable_sampler():
         union_prob_mc(bad, cv, reps=100_000, seed=12)
 
 
+def test_union_mc_leaves_callers_array_unsorted():
+    fixed = np.random.default_rng(3).uniform(size=(10_000, 4))
+    before = fixed.copy()
+    cv = CriticalVector(c=(0.02, 0.03, 0.05), k=2, n=4)
+    union_prob_mc(lambda reps, seed: fixed, cv, reps=10_000, seed=1)
+    assert np.array_equal(fixed, before)
+
+
 def test_lemma21_identity_small_uniform():
     cv = simes_vector(4, 2)
     lhs = union_prob_mc(independent(), cv, reps=200_000, seed=100)
@@ -144,6 +157,79 @@ def test_lemma21_degenerate_n_equals_k():
     cv = CriticalVector(c=(0.4,), k=2, n=2)
     est = lemma21_rhs_mc(independent(), cv, reps=100_000, seed=7)
     assert abs(est.value - 0.16) < 4 * est.std_error
+
+
+def _label_subset_reference(sampler, cv, reps, seed):
+    """The label-subset estimator the rank-indexed one replaced, kept as a
+    reference; it also returns each replication's total over all terms."""
+    n, k = cv.n, cv.k
+    pv = _draw(sampler, n, reps, seed)
+    c = np.asarray(cv.c)  # c[idx] holds the rank-(k+idx) constant
+    inv_a = {i: 1.0 / math.comb(i, k) for i in range(k, n + 1)}
+    sqrt_reps = math.sqrt(reps)
+
+    lead = np.zeros(reps)
+    total = np.zeros(reps)
+    value = 0.0
+    se = 0.0
+    for subset in combinations(range(n), k):
+        comp = tuple(sorted(set(range(n)) - set(subset)))
+        max_j = pv[:, subset].max(axis=1)
+        lead += max_j <= c[-1]
+        if not comp:
+            continue
+        # column j-1 checks the j-th smallest complement value against c_{k+j}
+        tail = np.sort(pv[:, comp], axis=1) > c[1:]
+        alive = np.logical_and.accumulate(tail[:, ::-1], axis=1)[:, ::-1]
+        below = max_j[:, None] <= c[None, :]
+        for i in range(k, n):
+            ell = i - k + 1
+            d = alive[:, ell - 1] * (
+                inv_a[i] * below[:, i - k] - inv_a[i + 1] * below[:, i - k + 1]
+            )
+            total += d
+            value += float(d.mean())
+            se += float(d.std(ddof=1)) / sqrt_reps
+    lead *= inv_a[n]
+    total += lead
+    value += float(lead.mean())
+    se += float(lead.std(ddof=1)) / sqrt_reps
+    value = min(max(value, 0.0), 1.0)
+    return ProbEstimate(value, max(se, 1.0 / reps), reps, "monte_carlo"), total
+
+
+def _draw(sampler, n, reps, seed):
+    if isinstance(sampler, NullModel):
+        return draw_null_pvalues(sampler, n, reps, seed)
+    return np.asarray(sampler(reps, seed), dtype=np.float64)
+
+
+def _uniform_sampler(n):
+    return lambda reps, seed: np.random.default_rng(seed).uniform(size=(reps, n))
+
+
+_SAMPLERS = {
+    "independent": lambda n: independent(),
+    "equicorrelated": lambda n: equicorrelated_normal(0.5),
+    "two-block factor": lambda n: factor_normal(tuple(0.3 if j < n // 2 else 0.8 for j in range(n))),
+    "callable": _uniform_sampler,
+}
+
+
+@pytest.mark.parametrize("kind", list(_SAMPLERS))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lemma21_matches_label_subset_reference(kind, n):
+    # the rank-indexed sum equals the label-indexed one row by row, so on the
+    # same draws the two estimates differ only by rounding; the summed
+    # per-term errors bound the error of the row totals (triangle inequality)
+    sampler, reps = _SAMPLERS[kind](n), 100_000
+    for k in range(1, n + 1):
+        cv = CriticalVector(gen_simes_critvals_closed_form(n, k, 0.05).values, k, n)
+        est = lemma21_rhs_mc(sampler, cv, reps, seed=40 + k)
+        want, total = _label_subset_reference(sampler, cv, reps, seed=40 + k)
+        assert type(est.value) is float and type(est.std_error) is float
+        assert abs(est.value - want.value) <= 1e-12, (n, k)
+        assert est.std_error >= float(total.std(ddof=1)) / math.sqrt(reps), (n, k)
 
 
 def test_lemma21_guards():

@@ -13,7 +13,6 @@ from kfwer import (
     factor_normal,
     gk_empirical_build,
     gk_evaluate,
-    gk_factor_averaged,
     gk_factor_subset,
     gk_quantile,
     gk_quantiles,
@@ -151,7 +150,7 @@ def test_factor_averaged_uniform_loadings_equals_equicorr():
     em = equicorrelated_normal(0.3)
     for k in (2, 3):
         for u in (0.02, 0.2):
-            assert gk_factor_averaged(fm, k, u) == pytest.approx(
+            assert gk_evaluate(fm, k, u) == pytest.approx(
                 gk_evaluate(em, k, u), rel=1e-9, abs=1e-12
             )
 
@@ -167,7 +166,7 @@ def test_factor_averaged_matches_brute_force_mc():
         for b in range(a + 1, 6):
             hits.append((flags[:, a] & flags[:, b]).mean())
     est = float(np.mean(hits))
-    want = gk_factor_averaged(fm, k, u)
+    want = gk_evaluate(fm, k, u)
     se = math.sqrt(want * (1 - want) / reps)
     assert abs(est - want) < 4 * se
 

@@ -151,8 +151,8 @@ def lemma21_rhs_mc(sampler, cv: CriticalVector, reps: int, seed: int) -> ProbEst
     inv_a = [1.0 / math.comb(i, k) for i in range(k, n + 1)]  # indexed by i - k
     sqrt_reps = math.sqrt(reps)
 
-    lead = np.array([math.comb(m, k) for m in range(n + 1)], dtype=float)
-    lead = lead[np.count_nonzero(below[:, -1], axis=0)] * inv_a[-1]
+    subsets_below = np.array([math.comb(m, k) for m in range(n + 1)], dtype=float)
+    lead = subsets_below[np.count_nonzero(below[:, -1], axis=0)] * inv_a[-1]
     value = float(lead.mean())
     se = float(lead.std(ddof=1)) / sqrt_reps
     alive = np.empty(reps, dtype=bool)

@@ -9,12 +9,10 @@ import pytest
 from kfwer import (
     ConfigurationError,
     CriticalVector,
-    NullModel,
     ProbEstimate,
     ScaleError,
     bonferroni_eq23,
     bound_eq22,
-    draw_null_pvalues,
     equicorrelated_normal,
     factor_normal,
     gen_simes_critvals,
@@ -24,6 +22,7 @@ from kfwer import (
     union_prob_exact_smalln,
     union_prob_mc,
 )
+from kfwer.bounds import _draw
 
 
 def simes_vector(n, k, alpha=0.05):
@@ -160,8 +159,8 @@ def test_lemma21_degenerate_n_equals_k():
 
 
 def _label_subset_reference(sampler, cv, reps, seed):
-    """The label-subset estimator the rank-indexed one replaced, kept as a
-    reference; it also returns each replication's total over all terms."""
+    """lemma21_rhs_mc summed over label subsets, each gathered and sorted
+    apart; also returns each replication's total over all terms."""
     n, k = cv.n, cv.k
     pv = _draw(sampler, n, reps, seed)
     c = np.asarray(cv.c)  # c[idx] holds the rank-(k+idx) constant
@@ -198,21 +197,13 @@ def _label_subset_reference(sampler, cv, reps, seed):
     return ProbEstimate(value, max(se, 1.0 / reps), reps, "monte_carlo"), total
 
 
-def _draw(sampler, n, reps, seed):
-    if isinstance(sampler, NullModel):
-        return draw_null_pvalues(sampler, n, reps, seed)
-    return np.asarray(sampler(reps, seed), dtype=np.float64)
-
-
-def _uniform_sampler(n):
-    return lambda reps, seed: np.random.default_rng(seed).uniform(size=(reps, n))
-
-
 _SAMPLERS = {
     "independent": lambda n: independent(),
     "equicorrelated": lambda n: equicorrelated_normal(0.5),
     "two-block factor": lambda n: factor_normal(tuple(0.3 if j < n // 2 else 0.8 for j in range(n))),
-    "callable": _uniform_sampler,
+    "callable": lambda n: (
+        lambda reps, seed: np.random.default_rng(seed).uniform(size=(reps, n))
+    ),
 }
 
 
@@ -230,6 +221,19 @@ def test_lemma21_matches_label_subset_reference(kind, n):
         assert type(est.value) is float and type(est.std_error) is float
         assert abs(est.value - want.value) <= 1e-12, (n, k)
         assert est.std_error >= float(total.std(ddof=1)) / math.sqrt(reps), (n, k)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_lemma21_std_error_sums_rank_term_errors(n):
+    # on rows already sorted, label subsets are rank subsets, so the
+    # reference's per-term errors are the rank-indexed terms' errors
+    draws = np.sort(np.random.default_rng(n).uniform(size=(100_000, n)), axis=1)
+    for k in range(1, n + 1):
+        cv = CriticalVector(gen_simes_critvals_closed_form(n, k, 0.05).values, k, n)
+        est = lemma21_rhs_mc(lambda reps, seed: draws, cv, 100_000, seed=0)
+        want, _ = _label_subset_reference(lambda reps, seed: draws, cv, 100_000, seed=0)
+        assert abs(est.value - want.value) <= 1e-12, k
+        assert est.std_error == pytest.approx(want.std_error, rel=1e-9), k
 
 
 def test_lemma21_guards():

@@ -10,8 +10,10 @@ and in each pass measures:
 
 - the four benchmark workloads, `python3 perfbench/run.py --workload W
   --seed S --seconds 15 --trace 0` run from that checkout;
-- the six canned `kfwer simulate --study` runs, `kfwer verify --suite
-  all` and the Tier-1 test command.
+- the six canned `kfwer simulate --study` runs, one equicorrelated-t
+  `kfwer simulate --config` at n = 100 (T_CONFIG, where the p-map
+  `stdtr` is the largest per-element cost), `kfwer verify --suite all`
+  and the Tier-1 test command.
 
 Every run is recorded. Each workload metric and command wall time is
 also reported as the median over the passes, a command with the largest
@@ -44,6 +46,11 @@ STUDIES = ("fig1", "fig2", "fig3", "fig4", "fig5", "table2")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 SECONDS = 15  # the workload length BENCHMARK.json runs
 SEEDS = tuple(range(31, 41))  # one pass over both checkouts per seed
+T_CONFIG = {
+    "schema_version": 1, "name": "t-rho0.25-dof5-n100", "n": 100, "k": 2, "alpha": 0.05,
+    "model": "t:0.25:5", "procedures": ["gen-simes", "gen-hochberg", "classic-hochberg"],
+    "reps": 20_000, "seed": 107_000, "n1": 10, "effect": 2.0,
+}
 
 
 def _arguments(argv):
@@ -128,6 +135,11 @@ def main(argv=None):
     args, sides = _arguments(argv)
     raw = {name: {"workloads": {w: [] for w in WORKLOADS}, "commands": {}} for name in sides}
     commands = {f"simulate {s}": ["-m", "kfwer.cli", "simulate", "--study", s] for s in STUDIES}
+    config_dir = tempfile.mkdtemp(prefix="kfwer-bench-")
+    t_config = os.path.join(config_dir, "t_n100.json")
+    with open(t_config, "w", encoding="utf-8") as fh:
+        json.dump(T_CONFIG, fh)
+    commands["simulate t n100"] = ["-m", "kfwer.cli", "simulate", "--config", t_config]
     commands["verify all"] = ["-m", "kfwer.cli", "verify", "--suite", "all"]
     commands["tier1 pytest"] = list(TIER1)
     order = list(sides)
@@ -156,6 +168,7 @@ def main(argv=None):
             "workload_command": "python3 perfbench/run.py --workload W --seed S "
                                 f"--seconds {SECONDS} --trace 0",
             "seeds": list(SEEDS),
+            "t_config": T_CONFIG,
             "first_pass_order": list(sides),
             "commands": {k: " ".join(["python", *v]) for k, v in commands.items()},
             "threads": "perfbench pins one thread; the commands use the default "
@@ -169,6 +182,8 @@ def main(argv=None):
             for name, data in raw.items()
         },
     }
+    os.remove(t_config)
+    os.rmdir(config_dir)
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

@@ -44,6 +44,7 @@ from .models import (
     SubsetIndex,
     draw,
     draw_null_pvalues,
+    draw_scores,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
@@ -55,6 +56,8 @@ from .models import (
     independent,
     log_gk,
     parse_model,
+    pmap,
+    score_bands,
 )
 from .numerics import binomial_tail, find_roots
 from .procedures import (
@@ -86,6 +89,7 @@ __all__ = [
     "find_roots", "binomial_tail",
     "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
+    "draw_scores", "pmap", "score_bands",
     "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
     "gk_factor_subset",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",

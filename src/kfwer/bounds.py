@@ -19,7 +19,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, ScaleError
-from .models import NullModel, draw_null_pvalues
+from .models import (
+    BLOCK, MODEL_SALT, NullModel, chunk_rows, cutoffs, decide, draw_null_pvalues, draw_scores,
+    independent,
+)
 
 __all__ = [
     "CriticalVector",
@@ -84,7 +87,8 @@ class ProbEstimate:
 
 
 def _draw(sampler, n, reps, seed):
-    """reps x n null p-values in an array the caller owns and may sort in place."""
+    """reps x n null p-values in an array the caller owns and may sort in
+    place; a callable's values must lie in [0, 1]."""
     if isinstance(sampler, NullModel):
         return draw_null_pvalues(sampler, n, reps, seed)
     out = np.array(sampler(reps, seed), dtype=np.float64)  # never the caller's array
@@ -92,7 +96,26 @@ def _draw(sampler, n, reps, seed):
         raise ConfigurationError(
             f"sampler returned shape {out.shape}, expected {(reps, n)}"
         )
+    if not np.isfinite(out).all():
+        raise ConfigurationError("sampler returned non-finite p-values")
+    if not ((out >= 0.0) & (out <= 1.0)).all():
+        raise ConfigurationError("sampler returned p-values outside [0, 1]")
     return out
+
+
+def _score_chunks(sampler, n, reps, seed):
+    """The null rows of _draw in chunks of chunk_rows(n) rows, each an array
+    the caller may sort in place: a NullModel's scores, drawn chunk by chunk
+    from the same stream, or a callable's p-values."""
+    step = chunk_rows(n)
+    if not isinstance(sampler, NullModel):
+        rows = _draw(sampler, n, reps, seed)
+        yield from (rows[start : start + step] for start in range(0, reps, step))
+        return
+    for start in range(0, reps, step):
+        stop = min(reps, start + step)
+        whole = -(-stop // BLOCK) * BLOCK
+        yield draw_scores(sampler, np.zeros(n), start, whole, seed, MODEL_SALT)[: stop - start]
 
 
 def _mc_se(phat: float, reps: int) -> float:
@@ -105,10 +128,14 @@ def union_prob_mc(sampler, cv: CriticalVector, reps: int, seed: int) -> ProbEsti
     reps = int(reps)
     if reps < 10_000:
         raise ConfigurationError("union_prob_mc requires at least 10^4 replications")
-    pv = _draw(sampler, cv.n, reps, seed)
-    pv.sort(axis=1)
-    hits = (pv[:, cv.k - 1 :] <= np.asarray(cv.c)).any(axis=1)
-    phat = float(hits.mean())
+    model = sampler if isinstance(sampler, NullModel) else independent()
+    # the union is a step-up rejecting k or more, with c_k below rank k
+    cut = cutoffs(model, "stepup", (cv.c[0],) * (cv.k - 1) + cv.c)
+    hits = 0
+    for rows in _score_chunks(sampler, cv.n, reps, seed):
+        [(nrej, _)] = decide(rows, None, [cut])
+        hits += int(np.count_nonzero(nrej >= cv.k))
+    phat = hits / reps
     return ProbEstimate(phat, _mc_se(phat, reps), reps, "monte_carlo")
 
 

@@ -55,6 +55,12 @@ __all__ = [
     "gk_factor_subset",
     "draw",
     "draw_null_pvalues",
+    "draw_scores",
+    "chunk_rows",
+    "pmap",
+    "score_bands",
+    "cutoffs",
+    "decide",
     "stream_word",
     "substream",
     "BLOCK",
@@ -259,37 +265,40 @@ def substream(word: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[word, index]))
 
 
-def _fill_block(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: np.ndarray):
-    """Fill out (BLOCK rows) from one block's stream in the order draw documents."""
+def _fill_scores(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: np.ndarray):
+    """Fill out (BLOCK rows) with the scores of one block's stream, in the
+    order draw_scores documents."""
     if model.kind == "independent":
         g.random(out=out)
         shifted = mu != 0.0
         if shifted.any():
             out[:, shifted] = ndtr(ndtri(out[:, shifted]) - mu[shifted])
         return
-    n = mu.size
-    normals = g.standard_normal((BLOCK, n + 1))
-    lam = np.asarray(model.loadings[:n]) if model.kind == "factor_normal" else math.sqrt(model.rho)
-    x = lam * normals[:, :1] + np.sqrt(1.0 - np.square(lam)) * normals[:, 1:]
+    normals = g.standard_normal((BLOCK, mu.size + 1))
+    lam = np.asarray(model.loadings[: mu.size]) if model.kind == "factor_normal" else math.sqrt(model.rho)
+    # s = -x for x = lam f + sqrt(1 - lam^2) e (scaled, plus mu), built with
+    # the signs moved inside: rounding is symmetric, so the bits are those of -x
+    np.multiply(normals[:, 1:], -np.sqrt(1.0 - np.square(lam)), out=out)
+    out -= lam * normals[:, :1]
     if model.kind == "equicorrelated_t":
-        x /= np.sqrt(g.chisquare(model.dof, BLOCK) / model.dof)[:, None]
-        x += mu
-        stdtr(model.dof, -x, out=out)
-    else:
-        x += mu
-        ndtr(-x, out=out)
+        out /= np.sqrt(g.chisquare(model.dof, BLOCK) / model.dof)[:, None]
+    if mu.any():
+        out -= mu
 
 
-def draw(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
-    """P-values of replications start..stop-1, one row each, len(mu) columns.
+def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
+    """Scores of replications start..stop-1, one row each, len(mu) columns.
 
-    Block b = row // BLOCK draws from substream(stream_word(seed, salt), b);
-    start and stop must be multiples of BLOCK. Per block, by model kind:
-    independent draws BLOCK x n uniforms as the null p-values, and a
-    column with mu_j != 0 becomes ndtr(ndtri(p) - mu_j); the normal kinds
-    draw BLOCK x (n+1) standard normals, row-major with the common factor
-    first, add mu and take p = ndtr(-x); the t kind draws the same normals,
-    then BLOCK chi-squares, scales, adds mu and takes p = stdtr(dof, -x).
+    A score s is a monotone statistic of its p-value: p = pmap(model, s),
+    nondecreasing in s. Block b = row // BLOCK draws from
+    substream(stream_word(seed, salt), b); start and stop must be multiples
+    of BLOCK. Per block, by model kind: independent draws BLOCK x n
+    uniforms as the null p-values, a column with mu_j != 0 becomes
+    ndtr(ndtri(p) - mu_j), and the score is the p-value itself; the normal
+    kinds draw BLOCK x (n+1) standard normals, row-major with the common
+    factor first, form x, add mu and score s = -x; the t kind draws the
+    same normals, then BLOCK chi-squares, scales x, adds mu and scores
+    s = -x.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 1 or mu.size < 1:
@@ -312,14 +321,190 @@ def draw(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> n
     word = stream_word(seed, salt)
     out = np.empty((stop - start, mu.size))
     for row in range(0, stop - start, BLOCK):
-        _fill_block(model, mu, substream(word, (start + row) // BLOCK), out[row : row + BLOCK])
+        _fill_scores(model, mu, substream(word, (start + row) // BLOCK), out[row : row + BLOCK])
     return out
+
+
+def pmap(model: NullModel, scores: np.ndarray) -> np.ndarray:
+    """Map a model's scores to p-values in place and return the array:
+    ndtr(s) for the normal kinds, stdtr(dof, s) for the t kind, and the
+    identity for the independent kind, whose scores are p-values."""
+    if model.kind == "equicorrelated_t":
+        stdtr(model.dof, scores, out=scores)
+    elif model.kind != "independent":
+        ndtr(scores, out=scores)
+    return scores
+
+
+def draw(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
+    """P-values of replications start..stop-1: pmap applied to draw_scores.
+
+    So p = ndtr(-x) for the normal kinds, p = stdtr(dof, -x) for the t
+    kind, and the uniforms (shifted columns included) for independent.
+    """
+    return pmap(model, draw_scores(model, mu, start, stop, seed, salt))
+
+
+def chunk_rows(n: int) -> int:
+    """Replications per pass of a Monte Carlo loop over n columns: whole
+    blocks, 1 to 32 of them, about 4 million values at most."""
+    return BLOCK * max(1, min(32, 4_000_000 // (n * BLOCK)))
 
 
 def draw_null_pvalues(model: NullModel, n_cols: int, count: int, seed: int):
     """count x n_cols null p-values: the first count rows of the model stream."""
     whole = -(-int(count) // BLOCK) * BLOCK
     return draw(model, np.zeros(n_cols), 0, whole, seed, MODEL_SALT)[:count]
+
+
+# ---------------------------------------------------------------------------
+# score-domain decisions
+#
+# Every rule is a count of p-values at or below constants, and a count
+# does not change under the nondecreasing p-map, so the rules decide on
+# sorted scores against score edges of the constants. A p-map computed in
+# floating point is not monotone everywhere: each edge therefore carries
+# a band of scores on which P(s) <= c is not settled, and a row with a
+# sorted score inside its rank's band is decided on its p-values.
+
+# A crossing of P(s) <= c is settled from a window of 2 BAND_ULPS floats
+# on each side of it. Over 3,000 constants from 1e-15 to 0.9, ndtr and
+# stdtr (dof 1 to 100) disagreed with the monotone answer at most 6 ulps
+# from the crossing.
+BAND_ULPS = 32
+_SIGN = np.int64(-(2**63))
+_KEY_INF = np.int64(0x7FF0000000000000)  # the key of inf; -_KEY_INF is -inf
+
+
+def _key(x: np.ndarray) -> np.ndarray:
+    """Float64 values as int64 keys in the order of the floats (-0.0 and
+    0.0 share key 0); _float inverts it."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, _SIGN - bits, bits)
+
+
+def _float(key: np.ndarray) -> np.ndarray:
+    return np.where(key < 0, _SIGN - key, key).view(np.float64)
+
+
+def score_bands(model: NullModel, c, strict: bool = False):
+    """Score edges (lo, hi) of the constants c for P = pmap(model, .).
+
+    P(s) <= c_i for every float s < lo_i, and P(s) > c_i for every s >
+    hi_i; scores in [lo_i, hi_i] are unsettled (an empty band has lo_i >
+    hi_i). With strict the comparison is P(s) < c_i, taken as P(s) <= the
+    float below c_i. Per constant, the 2 BAND_ULPS + 1 floats on each side
+    of the quantile of c_i are scanned: lo_i is the first that misses and
+    hi_i the last that meets. Where the crossing does not lie BAND_ULPS
+    or more inside that window, a bisection over the float bit patterns
+    finds a first score with P(s) > c_i and the window is scanned around
+    it instead. Lowering lo or raising hi keeps both statements true, so
+    the edges are made nondecreasing that way. Uniform scores are
+    p-values, with the empty band lo = the float above c, hi = c.
+    """
+    c = np.array(c, dtype=np.float64, ndmin=1)
+    if strict:
+        c = np.nextafter(c, -np.inf)
+    if model.kind == "independent":
+        return np.nextafter(c, np.inf), c
+    offsets = np.arange(-2 * BAND_ULPS, 2 * BAND_ULPS + 1)
+
+    def scan(keys, c):
+        window = np.clip(keys[:, None] + offsets, -_KEY_INF, _KEY_INF)
+        return window, pmap(model, _float(window)) <= c[:, None]
+
+    guess = stdtrit(model.dof, c) if model.kind == "equicorrelated_t" else ndtri(c)
+    window, ok = scan(_key(guess), c)
+    wide = ~(ok[:, :BAND_ULPS].all(axis=1) & ~ok[:, -BAND_ULPS:].any(axis=1))
+    if wide.any():
+        # bisection over every float, from P(-inf) = 0 <= c to P(inf) = 1 > c
+        far = c[wide]
+        lo = np.full(far.size, -_KEY_INF)
+        hi = -lo
+        while np.any(hi.view(np.uint64) - lo.view(np.uint64) > 1):  # unsigned: no overflow
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+            up = pmap(model, _float(mid)) > far
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        window[wide], ok[wide] = scan(hi, far)
+    rows = np.arange(c.size)
+    first_miss = window[rows, ok.argmin(axis=1)]
+    last_meet = window[rows, window.shape[1] - 1 - ok[:, ::-1].argmax(axis=1)]
+    lo = _float(np.where(ok.all(axis=1), _KEY_INF, first_miss))
+    hi = _float(np.where(ok.any(axis=1), last_meet, -_KEY_INF))
+    return np.minimum.accumulate(lo[::-1])[::-1], np.maximum.accumulate(hi)
+
+
+@dataclass(frozen=True, eq=False)
+class Cutoffs:
+    """A rule's constants c as score edges of one model (see score_bands)."""
+
+    model: NullModel
+    rule: str  # "stepup", "stepdown" or "single"
+    c: tuple  # one constant per rank, or the one constant of a single-step rule
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def cutoffs(model: NullModel, rule: str, c) -> Cutoffs:
+    """The Cutoffs of a rule with constants c (a tuple, or one float):
+    step-down compares p < c_i, the other rules p <= c_i."""
+    lo, hi = score_bands(model, c, strict=rule == "stepdown")
+    lo.setflags(write=False)  # the cache hands these to every caller
+    hi.setflags(write=False)
+    return Cutoffs(model, rule, c, lo, hi)
+
+
+def decide(rows: np.ndarray, few, cuts) -> list:
+    """Sort rows (scores of cut.model, one replication each) in place, and
+    for each Cutoffs in cuts give every row's rejection count nrej and how
+    many of few's columns (the same rows' unsorted scores at some
+    hypotheses) are rejected, or None without few.
+
+    On a sorted row, step-up rejects the largest i with s_(i) < lo_i,
+    step-down the i before the first s_(i) >= lo_i, single-step every
+    s_j < lo; the rejected set is {j : s_j <= s_(nrej)}, which the
+    no-straddle identities of simlab.run_experiment make exact. If no
+    sorted score lies in its rank's band, every rank-matched comparison is
+    settled, so these are the counts the p-values give. A row with one
+    inside is mapped to p-values and run through this kernel again, with
+    the empty bands of p-values.
+    """
+    rows.sort(axis=1)
+    return [_decide_sorted(rows, few, cut) for cut in cuts]
+
+
+def _decide_sorted(rows, few, cut):
+    n = rows.shape[1]
+    index = np.arange(rows.shape[0])
+    if cut.rule == "stepup":
+        # the first True of the reversed comparisons is the largest i meeting
+        rev = rows[:, ::-1] < cut.lo[::-1]
+        last = rev.argmax(axis=1)
+        nrej = np.where(rev[index, last], n - last, 0)
+    elif cut.rule == "stepdown":
+        failed = rows >= cut.lo
+        first = failed.argmax(axis=1)
+        nrej = np.where(failed[index, first], first, n)
+    else:
+        nrej = (rows < cut.lo).sum(axis=1)
+    hits = None
+    if few is not None:
+        thr = np.where(nrej > 0, rows[index, nrej - 1], -np.inf)
+        hits = (few <= thr[:, None]).sum(axis=1)
+    lo, hi = np.broadcast_to(cut.lo, (n,)), np.broadcast_to(cut.hi, (n,))
+    band = np.flatnonzero(lo <= hi)
+    if band.size:  # never for p-values
+        unsettled = np.flatnonzero(
+            ((rows[:, band] >= lo[band]) & (rows[:, band] <= hi[band])).any(axis=1))
+        if unsettled.size:
+            p_few = None if few is None else pmap(cut.model, few[unsettled])
+            p_cut = cutoffs(independent(), cut.rule, cut.c)
+            [(nrej[unsettled], p_hits)] = decide(pmap(cut.model, rows[unsettled]), p_few, [p_cut])
+            if few is not None:
+                hits[unsettled] = p_hits
+    return nrej, hits
 
 
 def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> NullModel:
@@ -520,7 +705,19 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray
         keep = log_w >= k * math.log(flat[part].min()) - _T_DROP
         terms = k * log_ndtr(ay[keep] - q[part, None] * cv[keep]) + log_w[keep]
         peak = np.maximum(terms.max(axis=1), np.finfo(float).min)  # -inf stays -inf
-        out[part] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        with np.errstate(divide="ignore"):  # a sum of 0 is caught below
+            out[part] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    # u^k <= G_k(u) <= u: a value outside, beyond T_REL_TOL, is no estimate
+    log_u = np.log(flat)
+    bad = np.flatnonzero(~((out >= k * log_u - T_REL_TOL) & (out <= log_u + T_REL_TOL)))
+    if bad.size:
+        j = int(bad[0])
+        raise ConvergenceError(
+            f"model {model.describe()}: log G_k(u) on the {nodes}-node t rule is "
+            f"{float(out[j])!r}, outside [k log u, log u], at dof={model.dof}, "
+            f"rho={model.rho!r}, k={k}, u={float(flat[j])!r}; the t quadrature cannot "
+            "resolve this u"
+        )
     return out.reshape(u.shape)
 
 

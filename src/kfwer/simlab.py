@@ -1,7 +1,7 @@
 """Seeded Monte Carlo laboratory for error rates and power curves.
 
-Every replication's p-values come from models.draw, the package's one
-sampler. Replications are grouped into fixed blocks of models.BLOCK
+Every replication's sample comes from models.draw_scores, the package's
+one sampler. Replications are grouped into fixed blocks of models.BLOCK
 rows, and block b of a config draws from one counter-based Philox
 stream keyed by (stream_word(seed, SIMLAB_SALT), b). A replication's
 sample therefore depends only on the model, the mean vector, the seed
@@ -11,14 +11,24 @@ partitioned. Within a replication every configured procedure sees the
 same sample (common random numbers). A reps count that is not a
 multiple of BLOCK uses the leading rows of its last block.
 
-Draw order per block, fixed by contract (see models.draw):
+Draw order per block, fixed by contract (see models.draw_scores): a
+sample is a row of scores s, and its p-values are the p-map of the
+scores, P(s) = models.pmap(model, s).
   independent        BLOCK x n uniforms are the null p-values; a column
-                     with mean mu_j != 0 becomes ndtr(ndtri(p) - mu_j)
+                     with mean mu_j != 0 becomes ndtr(ndtri(p) - mu_j);
+                     s = p, and P is the identity
   equicorr / factor  BLOCK x (n+1) standard normals, row-major, common
-                     factor first; means added, then p = ndtr(-x)
+                     factor first, form x; means added, then s = -x and
+                     P(s) = ndtr(s)
   t                  the same normals, then BLOCK chi-square draws from
                      the same stream; means added after the t scaling,
-                     then p = stdtr(dof, -x)
+                     then s = -x and P(s) = stdtr(dof, s)
+
+Rules decide on the scores (models.decide). Each constant c_i of a rule
+becomes score edges (models.score_bands) with P(s) <= c_i for every
+s < lo_i and P(s) > c_i for every s > hi_i. A replication whose sorted
+score at some rank lies in that rank's band [lo_i, hi_i] is decided on
+its p-values instead, so every decision is the one its p-values give.
 
 Two salts keep the streams of different subsystems apart when a user
 reuses one seed: SIMLAB_SALT here, models.MODEL_SALT for null-only draws
@@ -43,7 +53,7 @@ import numpy as np
 
 from .critvals import critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, as_float, as_floats, as_int
-from .models import BLOCK, NullModel, draw, parse_model
+from .models import BLOCK, NullModel, chunk_rows, cutoffs, decide, draw_scores, parse_model
 
 __all__ = [
     "METRICS",
@@ -208,19 +218,22 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     sp_{nrej+1}: for step-up, sp_{nrej+1} = sp_nrej <= c_nrej <= c_{nrej+1}
     would make nrej + 1 qualify; step-down has sp_nrej < c_nrej <=
     c_{nrej+1} <= sp_{nrej+1}; single-step has sp_nrej <= c_k < sp_{nrej+1}.
-    The rejected set is thus exactly {j : p_j <= sp_nrej} (empty if
-    nrej = 0), and one threshold comparison on the unsorted columns counts
-    the true nulls rejected. It runs over the smaller of the true and
-    false nulls, so it has no columns to compare when n1 = 0 or n1 = n.
+    The rejected set is thus exactly {j : p_j <= sp_nrej} = {j : p_j <=
+    c_nrej} (p_j < c_nrej for step-down, p_j <= c_k for single-step; empty
+    if nrej = 0), a count against a constant like nrej itself. So both are
+    decided on sorted scores (models.decide), with the p-values used only
+    for rows that a score band leaves unsettled, and one threshold
+    comparison on the unsorted columns counts the true nulls rejected. It
+    runs over the smaller of the true and false nulls, so it has no
+    columns to compare when n1 = 0 or n1 = n.
     """
     n, k, reps = cfg.n, cfg.k, cfg.reps
-    pad = {}
-    rule = {}
+    cuts = []
     for proc in cfg.procedures:
         cset = _constants_for(proc, cfg)
-        rule[proc] = rule_for(proc)
-        pad[proc] = (cset.value_at(cfg.k) if rule[proc] == "single"
-                     else np.asarray(cset.padded))
+        rule = rule_for(proc)
+        c = cset.value_at(cfg.k) if rule == "single" else tuple(cset.padded)
+        cuts.append(cutoffs(cfg.model, rule, c))
 
     mean = cfg.mean_vector()
     true_mask = mean == 0.0
@@ -232,26 +245,13 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     pw_sum = dict.fromkeys(cfg.procedures, 0.0)
     pw_sumsq = dict.fromkeys(cfg.procedures, 0.0)
 
-    chunk = BLOCK * max(1, min(32, 4_000_000 // (n * BLOCK)))
+    chunk = chunk_rows(n)
     for start in range(0, reps, chunk):
         stop = min(reps, start + chunk)
         whole = -(-stop // BLOCK) * BLOCK
-        sp = draw(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
-        p_few = sp[:, few]
-        sp.sort(axis=1)  # in place, after p_few copied the unsorted columns
-        rows = np.arange(sp.shape[0])
-        for proc in cfg.procedures:
-            r = rule[proc]
-            if r == "stepup":
-                rev = (sp <= pad[proc])[:, ::-1]
-                nrej = np.where(rev.any(axis=1), n - rev.argmax(axis=1), 0)
-            elif r == "stepdown":
-                failed = sp >= pad[proc]
-                nrej = np.where(failed.any(axis=1), failed.argmax(axis=1), n)
-            else:
-                nrej = (sp <= pad[proc]).sum(axis=1)
-            thr = np.where(nrej > 0, sp[rows, nrej - 1], -np.inf)
-            hits = (p_few <= thr[:, None]).sum(axis=1)
+        scores = draw_scores(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
+        # few's columns are copied before decide sorts the rows in place
+        for proc, (nrej, hits) in zip(cfg.procedures, decide(scores, scores[:, few], cuts)):
             t_rej = hits if few_true else nrej - hits
             f_rej = nrej - t_rej
             c = counts[proc]

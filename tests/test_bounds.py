@@ -1,6 +1,7 @@
 """Probability identities: exact small-n quadrature, Monte Carlo, and bounds."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -123,6 +124,22 @@ def test_union_mc_accepts_callable_sampler():
 
     with pytest.raises(ConfigurationError):
         union_prob_mc(bad, cv, reps=100_000, seed=12)
+
+
+@pytest.mark.parametrize("value, words", [(np.nan, "non-finite"), (-3.0, "outside [0, 1]")])
+def test_callable_sampler_values_are_checked(value, words):
+    # a NaN or a negative value is no p-value: compared with the constants
+    # it would read as no hit or as a sure hit
+    def sampler(reps, seed):
+        out = np.random.default_rng(seed).uniform(size=(reps, 3))
+        out[reps // 2, 1] = value
+        return out
+
+    cv = CriticalVector(c=(0.02, 0.03), k=2, n=3)
+    with pytest.raises(ConfigurationError, match=re.escape(words)):
+        union_prob_mc(sampler, cv, reps=10_000, seed=1)
+    with pytest.raises(ConfigurationError, match=re.escape(words)):
+        lemma21_rhs_mc(sampler, cv, reps=100_000, seed=1)
 
 
 def test_union_mc_leaves_callers_array_unsorted():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from kfwer import (
     ConfigurationError,
     ConvergenceError,
     SubsetIndex,
+    draw,
     draw_null_pvalues,
+    draw_scores,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
@@ -18,7 +21,11 @@ from kfwer import (
     gk_quantiles,
     independent,
     parse_model,
+    pmap,
+    score_bands,
 )
+from kfwer import models
+from kfwer.models import BLOCK, cutoffs, decide
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +277,107 @@ def test_t_model_large_dof_approaches_normal():
     got = gk_evaluate(m, 2, 0.1)
     want = gk_evaluate(equicorrelated_normal(0.25), 2, 0.1)
     assert abs(got - want) < 0.004
+
+
+def test_t_value_outside_its_bounds_raises_convergence_error():
+    # at u = 1e-250 the 128-node t rule gives log G_k = -inf, far below
+    # k log u: a clear refusal, not a bracketing failure or numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="dof=1, rho=0.25, k=2, u=1"):
+            gk_quantile(equicorrelated_t(0.25, 1), 2, 1e-250)
+
+
+# ---------------------------------------------------------------------------
+# scores and the score-domain kernel
+
+SCORE_MODELS = [independent(), equicorrelated_normal(0.3), factor_normal((0.2, 0.5, 0.7, 0.9)),
+                equicorrelated_t(0.25, 5)]
+
+
+@pytest.mark.parametrize("model", SCORE_MODELS, ids=lambda m: m.describe())
+def test_draw_is_the_p_map_of_the_scores(model):
+    mu = np.array([0.0, 1.5, 0.0, -2.0])
+    scores = draw_scores(model, mu, BLOCK, 3 * BLOCK, 8, 99)
+    p = draw(model, mu, BLOCK, 3 * BLOCK, 8, 99)
+    assert np.array_equal(pmap(model, scores.copy()), p)
+    # the p-map is nondecreasing: sorting scores sorts the p-values
+    order = np.argsort(scores, axis=1, kind="stable")
+    assert np.all(np.diff(np.take_along_axis(p, order, axis=1), axis=1) >= 0.0)
+
+
+def _keys(x):
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, np.int64(-(2**63)) - bits, bits)
+
+
+def _floats(keys):
+    return np.where(keys < 0, np.int64(-(2**63)) - keys, keys).view(np.float64)
+
+
+BAND_MODELS = [equicorrelated_normal(0.0)] + [equicorrelated_t(0.25, d) for d in (2, 5, 10, 30)]
+
+
+@pytest.mark.parametrize("model", BAND_MODELS, ids=lambda m: m.describe())
+def test_score_bands_are_sound(model):
+    # every score within 2^12 ulps of an edge where P(s) <= c disagrees
+    # with the band's settled answer must lie inside the band
+    c = np.geomspace(1e-15, 0.9, 200)
+    lo, hi = score_bands(model, c)
+    assert np.all(np.diff(lo) >= 0.0) and np.all(np.diff(hi) >= 0.0)
+    s = _floats(_keys(lo)[:, None] + np.arange(-(2**12), 2**12 + 1))
+    meets = pmap(model, s.copy()) <= c[:, None]
+    wrong = np.where(s < lo[:, None], ~meets, meets)
+    inside = (s >= lo[:, None]) & (s <= hi[:, None])
+    assert not np.any(wrong & ~inside)
+    assert np.all(hi - lo <= 1e-12 * np.abs(lo))  # a band is a few ulps wide
+
+
+def test_uniform_scores_have_empty_bands():
+    c = np.array([0.0, 1e-300, 0.01, 0.5])
+    lo, hi = score_bands(independent(), c)
+    assert np.all(lo > hi) and np.array_equal(hi, c)
+    lo, hi = score_bands(independent(), c, strict=True)
+    assert np.array_equal(lo, c)  # p < c reads p < lo
+
+
+def _banded_constant(model, rule):
+    """A constant whose score band for rule holds a score that meets it."""
+    for c in np.geomspace(1e-6, 0.5, 4000):
+        cut = cutoffs(model, rule, (float(c),) * 3)
+        if cut.lo[0] <= cut.hi[0]:
+            return float(c), cut
+    raise AssertionError("no constant with a nonempty band")
+
+
+def _p_reference(p, c, rule):
+    p = np.sort(p, axis=1)
+    if rule == "stepup":
+        meets = p <= c
+        return np.array([max((i + 1 for i in range(p.shape[1]) if m[i]), default=0) for m in meets])
+    if rule == "stepdown":
+        passed = p < c
+        return np.array([next((i for i in range(p.shape[1]) if not m[i]), p.shape[1]) for m in passed])
+    return (p <= c).sum(axis=1)
+
+
+@pytest.mark.parametrize("rule", ["stepup", "stepdown", "single"])
+def test_row_inside_a_band_is_decided_on_p_values(monkeypatch, rule):
+    model = equicorrelated_normal(0.3)
+    c, cut = _banded_constant(model, rule)
+    # hi is a score in the band whose p-value meets c, though it is not below lo
+    assert cut.lo[0] <= cut.hi[0] and pmap(model, cut.hi.copy())[0] <= np.nextafter(
+        c, -np.inf if rule == "stepdown" else np.inf)
+    scores = np.array([[6.0, float(cut.hi[0]), 5.0],
+                       [float(cut.lo[0]) - 1.0, 6.0, 5.0]])
+    few = scores[:, :2].copy()
+    mapped = []
+    monkeypatch.setattr(models, "pmap", lambda m, s: mapped.append(s.shape[0]) or pmap(m, s))
+    [(nrej, hits)] = decide(scores.copy(), few, [cut])
+    assert mapped == [1, 1]  # only the planted row, its sorted and its few columns
+    p = pmap(model, scores.copy())
+    want = _p_reference(p, c, rule)
+    assert nrej.tolist() == want.tolist() == [1, 1]
+    # the rejected set is the nrej smallest p-values: the planted score and
+    # the low score of the second row, both among few's columns
+    assert hits.tolist() == [1, 1]

@@ -17,12 +17,14 @@ from kfwer import (
     canned_study_names,
     critical_value_set,
     draw,
+    draw_scores,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
     gen_hochberg_critvals,
     gk_evaluate,
     independent,
+    pmap,
     procedure_id,
     rule_for,
     run_experiment,
@@ -270,32 +272,46 @@ TIE_PROCEDURES = ("gen_simes", "classic_hochberg", "gen_holm_stepdown", "lr_step
 @pytest.mark.parametrize("decimals", [1, 2])
 @pytest.mark.parametrize("n1", [0, 2, 5, 6])
 def test_run_experiment_exact_under_heavy_ties(monkeypatch, decimals, n1):
-    # p-values and constants on one coarse grid tie with each other and with
-    # the constants; the kernel must still count exactly what the scalar
-    # rules reject, whichever of true and false nulls it counts over
-    def rounded_draw(model, mu, start, stop, seed, salt):
-        return np.round(draw(model, mu, start, stop, seed, salt), decimals)
+    # scores and constants on one coarse grid tie with each other and with
+    # the constants: for uniforms the grid is one of p-values, for the normal
+    # model one of scores, with each constant moved to the p-value of a grid
+    # score. The kernel must still count exactly what the scalar rules
+    # reject, whichever of true and false nulls it counts over
+    for model in (independent(), equicorrelated_normal(0.5)):
+        _check_heavy_ties(monkeypatch, model, decimals, n1)
+
+
+def _check_heavy_ties(monkeypatch, model, decimals, n1):
+    def rounded_scores(model, mu, start, stop, seed, salt):
+        return np.round(draw_scores(model, mu, start, stop, seed, salt), decimals)
+
+    def on_grid(p):
+        if model.kind == "independent":
+            return np.round(p, decimals)
+        return pmap(model, np.round(ndtri(np.asarray(p)), decimals))
 
     def rounded_constants(proc, cfg):
         cset = critical_value_set(proc, cfg.n, cfg.k, cfg.alpha, cfg.model)
         return dataclasses.replace(
             cset,
-            values=tuple(np.round(cset.values, decimals)),
-            padded=tuple(np.round(cset.padded, decimals)),
+            values=tuple(on_grid(cset.values)),
+            padded=tuple(on_grid(cset.padded)),
         )
 
-    monkeypatch.setattr(kfwer.simlab, "draw", rounded_draw)
+    monkeypatch.setattr(kfwer.simlab, "draw_scores", rounded_scores)
     monkeypatch.setattr(kfwer.simlab, "_constants_for", rounded_constants)
-    cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=equicorrelated_normal(0.5),
+    cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=model,
                            procedures=TIE_PROCEDURES, reps=1000, seed=41, n1=n1,
                            effect=1.0)
     report = run_experiment(cfg)
 
     mu = cfg.mean_vector()
-    pvalues = rounded_draw(cfg.model, mu, 0, BLOCK, cfg.seed, SIMLAB_SALT)[: cfg.reps]
-    assert len(np.unique(pvalues)) <= 10 ** decimals + 1
+    scores = rounded_scores(cfg.model, mu, 0, BLOCK, cfg.seed, SIMLAB_SALT)[: cfg.reps]
+    assert len(np.unique(scores)) <= 20 * 10 ** decimals + 1
+    pvalues = pmap(model, scores.copy())
     for proc in cfg.procedures:
         cset = rounded_constants(proc, cfg)
+        assert np.isin(cset.padded, pvalues).any(), proc  # a p-value ties a constant
         counts = dict.fromkeys(set(METRICS) - {"ave_power"}, 0)
         prop_sum = 0.0
         for row in pvalues:
@@ -311,10 +327,10 @@ def test_run_experiment_exact_under_heavy_ties(monkeypatch, decimals, n1):
             prop_sum += false_rej / n1 if n1 else 0.0
         for metric, count in counts.items():
             assert report.value(proc, metric) == pytest.approx(
-                count / cfg.reps, abs=1e-12), (proc, metric)
+                count / cfg.reps, abs=1e-12), (model, proc, metric)
         want_power = prop_sum / cfg.reps if n1 else float("nan")
         assert report.value(proc, "ave_power") == pytest.approx(
-            want_power, abs=1e-12, nan_ok=True), proc
+            want_power, abs=1e-12, nan_ok=True), (model, proc)
 
 
 def test_run_experiment_deterministic():

@@ -8,7 +8,8 @@ as an independent oracle for the critical-value and procedure modules.
 
 Each estimator accepts a sampler that is either a NullModel (drawn via
 the chunked model streams, deterministic given the seed) or a callable
-(reps, seed) -> (reps, n) array of null p-values.
+(reps, seed) -> (reps, n) array of null p-values, which must be finite
+and lie in [0, 1] (ConfigurationError otherwise).
 """
 
 import math
@@ -124,12 +125,17 @@ def _mc_se(phat: float, reps: int) -> float:
 
 
 def union_prob_mc(sampler, cv: CriticalVector, reps: int, seed: int) -> ProbEstimate:
-    """Estimate Pr{X_{i:n} <= c_i for some i in k..n} from null draws."""
+    """Estimate Pr{X_{i:n} <= c_i for some i in k..n} from null draws.
+
+    The event is a step-up rule rejecting k or more, so rows are drawn and
+    decided as scores by models.decide, chunk by chunk: the estimate is
+    the one the p-values give, without mapping every score to one.
+    """
     reps = int(reps)
     if reps < 10_000:
         raise ConfigurationError("union_prob_mc requires at least 10^4 replications")
     model = sampler if isinstance(sampler, NullModel) else independent()
-    # the union is a step-up rejecting k or more, with c_k below rank k
+    # ranks below k get c_k: a step-up hit there alone leaves nrej < k
     cut = cutoffs(model, "stepup", (cv.c[0],) * (cv.k - 1) + cv.c)
     hits = 0
     for rows in _score_chunks(sampler, cv.n, reps, seed):

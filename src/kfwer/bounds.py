@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, ScaleError
 from .models import (
@@ -216,6 +215,8 @@ def union_prob_exact_smalln(cv: CriticalVector) -> ProbEstimate:
     Integrates the ordered-uniform density n! over the complement region
     {u_{i:n} > c_i for all i} by nested adaptive quadrature.
     """
+    from scipy.integrate import quad  # here, not at the top: it is slow to import
+
     n, k = cv.n, cv.k
     if n > 4:
         raise ScaleError("exact ordered-uniform quadrature is limited to n <= 4")

@@ -31,12 +31,11 @@ from math import comb
 
 import numpy as np
 from scipy.special import (
-    chdtri, gammaln, log_ndtr, logsumexp, ndtr, ndtri, roots_hermitenorm, roots_legendre, stdtr,
-    stdtrit,
+    chdtri, gammaln, log_ndtr, ndtr, ndtri, roots_hermitenorm, roots_legendre, stdtr, stdtrit,
 )
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
-from .numerics import find_roots
+from .numerics import find_roots, logsumexp
 
 __all__ = [
     "RHO_MAX",
@@ -565,9 +564,13 @@ def _validate_k(k):
     return int(k)
 
 
+# Gauss-Legendre nodes and weights on [-1, 1], solved once per node count
+_legendre = lru_cache(maxsize=None)(roots_legendre)
+
+
 @lru_cache(maxsize=1)
 def _legendre_unit():
-    nodes, weights = roots_legendre(NODES)
+    nodes, weights = _legendre(NODES)
     return 0.5 * (nodes + 1.0), np.log(0.5 * weights)
 
 
@@ -585,12 +588,14 @@ def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndar
     a = lam / s
     b = t[:, None] / s
 
-    def derivatives(y):
+    def derivatives(y, second=True):
         x = a * y[:, None] - b
         log_cdf = log_ndtr(x)
         mills = np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_cdf)
-        return (log_cdf @ mult - 0.5 * y * y, (a * mills) @ mult - y,
-                -(a * a * mills * (x + mills)) @ mult - 1.0)
+        h, d1 = log_cdf @ mult - 0.5 * y * y, (a * mills) @ mult - y
+        if not second:
+            return h, d1
+        return h, d1, -(a * a * mills * (x + mills)) @ mult - 1.0
 
     y = np.zeros(t.size)
     for _ in range(200):
@@ -609,7 +614,7 @@ def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndar
         # root lands right of it, then falls monotonically onto it
         d = np.minimum(np.sqrt(2.0 * _DROP / -d2), math.sqrt(2.0 * _DROP))
         for _ in range(100):
-            h, d1, _ = derivatives(y + sign * d)
+            h, d1 = derivatives(y + sign * d, second=False)
             step = (h - peak + _DROP) / (sign * d1)
             d = np.minimum(d - step, math.sqrt(2.0 * _DROP))
             if np.all(np.abs(step) <= 1e-3 * d):
@@ -669,7 +674,7 @@ def _chi_graded(dof: int, nodes: int):
     """Nodes and log weights of E[f(V)], V ~ chi_dof, cut at the 1 - _T_TAIL
     quantile v_max. Gauss-Legendre in tau with v = v_max tau^2 packs nodes
     near 0, where a small u puts the mass of the t integrand."""
-    x, weights = roots_legendre(nodes)
+    x, weights = _legendre(nodes)
     tau = 0.5 * (x + 1.0)
     v_max = math.sqrt(chdtri(dof, _T_TAIL))
     v = v_max * tau * tau
@@ -821,8 +826,9 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     ROOT_TOL. Positive dependence gives u^k <= G_k(u) <= u, so each root
     lies in [target, target^(1/k)]. A t root at which a rule of twice the
     nodes misses the target by more than T_REL_TOL relative raises
-    ConvergenceError. The empirical kind returns empirical quantiles and
-    raises ConvergenceError below 1/(store size).
+    ConvergenceError. At k = 1 the margins are uniform, G_1(u) = u, and
+    the targets are returned as they are. The empirical kind returns
+    empirical quantiles and raises ConvergenceError below 1/(store size).
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
@@ -832,6 +838,8 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     if model.kind == "empirical":
         store = _sample_store(model, k)
         return np.array([_ecdf_quantile(store, float(x)) for x in targets])
+    if k == 1:
+        return targets.copy()
     log_targets = np.log(targets)
     log_roots = find_roots(
         lambda x, j: log_gk(model, k, np.exp(x)) - log_targets[j],

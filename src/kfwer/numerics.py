@@ -1,19 +1,20 @@
 """Numerical kernels.
 
-Binomial tail sums and a batched bracketed root finder; the normal CDF
-and quantile come straight from scipy.special (ndtr, ndtri).
+Binomial tail sums, a batched bracketed root finder and a log-sum-exp;
+the normal CDF and quantile come from scipy.special (ndtr, ndtri).
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import BracketingError, ConfigurationError, ConvergenceError, DomainError
 
 __all__ = [
     "find_roots",
     "binomial_tail",
+    "logsumexp",
 ]
 
 # regula falsi steps find_roots takes before it gives up on open roots
@@ -67,6 +68,26 @@ def find_roots(f, lo, hi, tol: float) -> np.ndarray:
     )
 
 
+def logsumexp(a, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis for a real array a, by the arithmetic of
+    scipy.special.logsumexp (scipy 1.17), so with its bits, without its
+    argument handling: the m entries equal to the maximum m0 leave the sum
+    s = sum(exp(a - m0)), and the result is log1p(s/m) + log(m) + m0, or
+    log(sum(exp(a))) where that is not finite."""
+    a = np.asarray(a, dtype=float)
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    rest = np.where(at_top, -np.inf, a)  # the maxima leave the sum
+    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(rest - top), axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return out.squeeze(axis=axis)
+
+
 def binomial_tail(m: int, j0: int, u: float) -> float:
     """Upper binomial tail sum_{j=j0}^{m} C(m,j) u^j (1-u)^(m-j).
 
@@ -93,4 +114,4 @@ def binomial_tail(m: int, j0: int, u: float) -> float:
         + j * math.log(u)
         + (m - j) * math.log1p(-u)
     )
-    return min(1.0, float(np.exp(logsumexp(log_terms))))
+    return min(1.0, float(np.exp(logsumexp(log_terms, axis=0))))

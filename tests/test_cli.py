@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -511,3 +513,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_start_does_not_import_scipy_integrate():
+    # only bounds.union_prob_exact_smalln needs it, and it is slow to import
+    code = "import sys, kfwer.cli; sys.exit('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(kfwer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

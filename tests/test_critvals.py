@@ -16,6 +16,8 @@ from kfwer import (
     classic_critvals,
     critical_value_set,
     equicorrelated_normal,
+    equicorrelated_t,
+    factor_normal,
     gen_hochberg_critvals,
     gen_simes_critvals,
     gen_simes_critvals_closed_form,
@@ -222,3 +224,15 @@ def test_binomial_targets_past_the_float_range_raise_scale_error(build, n, k):
     # C(n, k) > 1.8e308 cannot be a float target; this is a usage error, not a crash
     with pytest.raises(ScaleError, match=rf"C\({n}, {k}\) exceeds the largest float"):
         build(n, k, 0.05, equicorrelated_normal(0.3))
+
+
+@pytest.mark.parametrize("model", [
+    equicorrelated_t(rho, dof) for dof in (1, 3) for rho in (0.0, 0.25, 0.9)
+] + [equicorrelated_normal(0.5), factor_normal([0.3] * 30 + [0.7] * 30)],
+    ids=lambda m: m.describe())
+def test_k1_constants_are_the_classic_ones(model):
+    # G_1(u) = u for every model (uniform margins), so no solve is needed
+    simes = gen_simes_critvals(60, 1, 0.05, model)
+    hochberg = gen_hochberg_critvals(60, 1, 0.05, model)
+    assert simes.values == classic_critvals("classic_simes", 60, 0.05).values
+    assert hochberg.values == classic_critvals("classic_hochberg", 60, 0.05).values

@@ -381,3 +381,24 @@ def test_row_inside_a_band_is_decided_on_p_values(monkeypatch, rule):
     # the rejected set is the nrej smallest p-values: the planted score and
     # the low score of the second row, both among few's columns
     assert hits.tolist() == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the package's log-sum-exp against scipy's
+
+
+@pytest.mark.parametrize("model,k", [
+    (equicorrelated_normal(0.3), 4),
+    (equicorrelated_normal(0.9), 2),
+    (factor_normal([0.3] * 4 + [0.7] * 3), 3),  # two loadings, three classes
+], ids=["equicorr0.3", "equicorr0.9", "factor"])
+def test_gk_keeps_its_bits_with_scipy_logsumexp(monkeypatch, model, k):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    u = np.geomspace(1e-300, 0.9, 31)
+    targets = np.geomspace(1e-12, 0.2, 9)
+    ours = models.log_gk(model, k, u), gk_quantiles(model, k, targets)
+    monkeypatch.setattr(models, "logsumexp", lambda a, axis: scipy_logsumexp(a, axis=axis))
+    theirs = models.log_gk(model, k, u), gk_quantiles(model, k, targets)
+    assert np.array_equal(ours[0], theirs[0])
+    assert np.array_equal(ours[1], theirs[1])

@@ -126,3 +126,31 @@ def test_binomial_tail_monotone_in_u():
 def test_find_roots_never_accepts_a_nan_value():
     with pytest.raises(ConvergenceError):
         find_roots(lambda x, j: np.where(x > 0.5, np.nan, x - 0.75), [0.0], [1.0], 1e-12)
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(30, 48))
+    wide = rng.normal(scale=40.0, size=(30, 48))
+    tied = rng.normal(size=(6, 5))
+    tied[:, 1] = tied[:, 3] = tied.max(axis=1) + 1.0
+    edges = rng.normal(size=(5, 4))
+    edges[0] = -np.inf  # an all-(-inf) row
+    edges[1, 2] = -np.inf
+    edges[2, 0] = np.nan
+    edges[3, 1] = np.inf
+    return {"random": rows, "wide": wide, "tied": tied, "one element": rows[:, :1], "edges": edges,
+            "one row": rows[:1]}
+
+
+@pytest.mark.parametrize("name", sorted(_logsumexp_cases()))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_has_the_bits_of_scipy(name, axis):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    from kfwer.numerics import logsumexp
+
+    a = _logsumexp_cases()[name]
+    with np.errstate(all="ignore"):
+        want = scipy_logsumexp(a, axis=axis)
+    assert np.array_equal(logsumexp(a, axis), want, equal_nan=True)

@@ -2,9 +2,10 @@
 
 The subset-decomposition identity rewrites the stepup union probability
 Pr{union over i = k..n of (X_{i:n} <= c_i)} term by term over all size-k
-index sets. Both sides are estimated by Monte Carlo here, and the two
-displayed upper bounds are evaluated in closed form, so this module acts
-as an independent oracle for the critical-value and procedure modules.
+index sets. Both sides are estimated by Monte Carlo here; the two
+displayed upper bounds are evaluated in closed form, and the i.i.d. union
+probability exactly, so this module acts as an independent oracle for the
+critical-value and procedure modules.
 
 Each estimator accepts a sampler that is either a NullModel (drawn via
 the chunked model streams, deterministic given the seed) or a callable
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.special import binom, xlog1py, xlogy
 
 from .errors import ConfigurationError, ScaleError
 from .models import (
-    BLOCK, MODEL_SALT, NullModel, chunk_rows, cutoffs, decide, draw_null_pvalues, draw_scores,
-    independent,
+    MODEL_SALT, NullModel, checked_pvalues, chunk_rows, cutoffs, decide, draw_null_pvalues,
+    independent, score_chunks,
 )
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _METHODS = ("monte_carlo", "exact_quadrature", "closed_form")
+EXACT_N_MAX = 200  # largest n of union_prob_exact_smalln, whose chain costs O(n^3)
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,6 @@ class CriticalVector:
         if any(hi < lo for lo, hi in zip(c, c[1:])):
             raise ConfigurationError("constants must be nondecreasing")
 
-    def value_for_rank(self, i: int) -> float:
-        if not (self.k <= i <= self.n):
-            raise ConfigurationError(f"rank {i} outside [{self.k}, {self.n}]")
-        return self.c[i - self.k]
-
 
 @dataclass(frozen=True)
 class ProbEstimate:
@@ -91,31 +89,7 @@ def _draw(sampler, n, reps, seed):
     place; a callable's values must lie in [0, 1]."""
     if isinstance(sampler, NullModel):
         return draw_null_pvalues(sampler, n, reps, seed)
-    out = np.array(sampler(reps, seed), dtype=np.float64)  # never the caller's array
-    if out.shape != (reps, n):
-        raise ConfigurationError(
-            f"sampler returned shape {out.shape}, expected {(reps, n)}"
-        )
-    if not np.isfinite(out).all():
-        raise ConfigurationError("sampler returned non-finite p-values")
-    if not ((out >= 0.0) & (out <= 1.0)).all():
-        raise ConfigurationError("sampler returned p-values outside [0, 1]")
-    return out
-
-
-def _score_chunks(sampler, n, reps, seed):
-    """The null rows of _draw in chunks of chunk_rows(n) rows, each an array
-    the caller may sort in place: a NullModel's scores, drawn chunk by chunk
-    from the same stream, or a callable's p-values."""
-    step = chunk_rows(n)
-    if not isinstance(sampler, NullModel):
-        rows = _draw(sampler, n, reps, seed)
-        yield from (rows[start : start + step] for start in range(0, reps, step))
-        return
-    for start in range(0, reps, step):
-        stop = min(reps, start + step)
-        whole = -(-stop // BLOCK) * BLOCK
-        yield draw_scores(sampler, np.zeros(n), start, whole, seed, MODEL_SALT)[: stop - start]
+    return checked_pvalues(sampler(reps, seed), (reps, n))
 
 
 def _mc_se(phat: float, reps: int) -> float:
@@ -133,11 +107,15 @@ def union_prob_mc(sampler, cv: CriticalVector, reps: int, seed: int) -> ProbEsti
     reps = int(reps)
     if reps < 10_000:
         raise ConfigurationError("union_prob_mc requires at least 10^4 replications")
-    model = sampler if isinstance(sampler, NullModel) else independent()
+    if isinstance(sampler, NullModel):
+        model, chunks = sampler, score_chunks(sampler, np.zeros(cv.n), reps, seed, MODEL_SALT)
+    else:  # a callable's checked p-values, in chunks of the same size
+        pv, step = _draw(sampler, cv.n, reps, seed), chunk_rows(cv.n)
+        model, chunks = independent(), (pv[at : at + step] for at in range(0, reps, step))
     # ranks below k get c_k: a step-up hit there alone leaves nrej < k
     cut = cutoffs(model, "stepup", (cv.c[0],) * (cv.k - 1) + cv.c)
     hits = 0
-    for rows in _score_chunks(sampler, cv.n, reps, seed):
+    for rows in chunks:
         [(nrej, _)] = decide(rows, None, [cut])
         hits += int(np.count_nonzero(nrej >= cv.k))
     phat = hits / reps
@@ -210,40 +188,29 @@ def lemma21_rhs_mc(sampler, cv: CriticalVector, reps: int, seed: int) -> ProbEst
 
 
 def union_prob_exact_smalln(cv: CriticalVector) -> ProbEstimate:
-    """Exact union probability for i.i.d. uniform p-values, n <= 4.
+    """Exact union probability for i.i.d. uniform p-values, n <= EXACT_N_MAX.
 
-    Integrates the ordered-uniform density n! over the complement region
-    {u_{i:n} > c_i for all i} by nested adaptive quadrature.
+    With b = (0,)*(k-1) + c, the event is N_i >= i at some rank i, N_i the
+    count of p-values at or below b_i. Given N_{i-1} = m, N_i - m is
+    Binomial(n - m, (b_i - b_{i-1}) / (1 - b_{i-1})) (Noe 1972). The chain
+    carries the law of N_i over the states not yet hit and adds the mass
+    that first hits at each rank: a sum of positive terms, so a small
+    probability keeps its relative accuracy.
     """
-    from scipy.integrate import quad  # here, not at the top: it is slow to import
-
     n, k = cv.n, cv.k
-    if n > 4:
-        raise ScaleError("exact ordered-uniform quadrature is limited to n <= 4")
-    b = [0.0] * (k - 1) + [min(max(v, 0.0), 1.0) for v in cv.c]
-
-    def volume(j, t):
-        # ordered volume of 0 < u_1 < ... < u_j < t with u_i > b_i throughout
-        lo = b[j - 1]
-        if t <= lo:
-            return 0.0
-        if j == 1:
-            return t - lo
-        kinks = [x for x in b if lo < x < t]
-        val, _ = quad(
-            lambda u: volume(j - 1, u),
-            lo,
-            t,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-            points=kinks or None,
-        )
-        return val
-
-    complement = math.factorial(n) * volume(n, 1.0)
-    value = min(max(1.0 - complement, 0.0), 1.0)
-    return ProbEstimate(value, 0.0, 0, "exact_quadrature")
+    if n > EXACT_N_MAX:
+        raise ScaleError(f"the exact binomial chain is limited to n <= {EXACT_N_MAX}")
+    edges = np.clip((0.0,) * (k - 1) + cv.c, 0.0, 1.0)
+    m, to = np.ogrid[: n + 1, : n + 1]  # from state m to state to >= m
+    step = np.maximum(to - m, 0)
+    log_comb = np.where(to >= m, np.log(binom(n - m, step)), -np.inf)
+    law, prev, value = np.ones(1), 0.0, 0.0
+    for i, edge in enumerate(edges, start=1):
+        q = (edge - prev) / (1.0 - prev) if prev < 1.0 else 1.0  # b_{i-1} = 1 left no mass
+        flow = law @ np.exp(log_comb[: law.size] + xlogy(step[: law.size], q) + xlog1py(n - to, -q))
+        value += flow[i:].sum()
+        law, prev = flow[:i], edge
+    return ProbEstimate(min(value, 1.0), 0.0, 0, "exact_quadrature")
 
 
 def bound_eq22(fk, cv: CriticalVector) -> float:

@@ -116,11 +116,10 @@ def _closed_form_hochberg(n, k, alpha, i):
 
 
 @lru_cache(maxsize=512)
-def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel | None,
-                     force_inversion: bool) -> tuple:
+def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel | None) -> tuple:
     if model is not None and model.kind == "factor_normal" and len(model.loadings) != n:
         raise ConfigurationError(f"factor model has {len(model.loadings)} loadings but n={n}")
-    if (model is None or model.kind == "independent") and not force_inversion:
+    if model is None or model.kind == "independent":
         closed_form = _closed_form_simes if family == "simes" else _closed_form_hochberg
         return tuple(closed_form(n, k, alpha, i) for i in range(k, n + 1))
     # every binomial coefficient in the targets is at most C(n, k)
@@ -136,27 +135,24 @@ def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel
     return tuple(float(v) for v in gk_quantiles(model, k, targets))
 
 
-def gen_simes_critvals(n, k, alpha, model: NullModel, *, force_inversion=False) -> CriticalValueSet:
+def gen_simes_critvals(n, k, alpha, model: NullModel) -> CriticalValueSet:
     """Constants solving G_k(alpha_i) = alpha * C(i,k)/C(n,k), i = k .. n.
 
-    Under the independent model the closed form is evaluated directly;
-    force_inversion routes through quantile inversion anyway, which the
-    verification suites use to cross-check the two paths.
+    Under the independent model the closed form is evaluated directly.
     """
     n, k, alpha = _validate(n, k, alpha)
-    values = _stepwise_values("simes", n, k, alpha, model, bool(force_inversion))
+    values = _stepwise_values("simes", n, k, alpha, model)
     return _package("gen_simes", n, k, alpha, model, values)
 
 
 def gen_simes_critvals_closed_form(n, k, alpha) -> CriticalValueSet:
     """Independence closed form of the generalized Simes constants."""
     n, k, alpha = _validate(n, k, alpha)
-    values = _stepwise_values("simes", n, k, alpha, None, False)
+    values = _stepwise_values("simes", n, k, alpha, None)
     return _package("gen_simes", n, k, alpha, None, values)
 
 
-def gen_hochberg_critvals(n, k, alpha, model: NullModel, *,
-                          force_inversion=False) -> CriticalValueSet:
+def gen_hochberg_critvals(n, k, alpha, model: NullModel) -> CriticalValueSet:
     """Constants solving G_k(alpha_i) = alpha / C(n+k-i, k), i = k .. n.
 
     One set serves the generalized Holm stepdown, the generalized
@@ -164,7 +160,7 @@ def gen_hochberg_critvals(n, k, alpha, model: NullModel, *,
     critical_value_set labels it with the id it is requested for.
     """
     n, k, alpha = _validate(n, k, alpha)
-    values = _stepwise_values("hochberg", n, k, alpha, model, bool(force_inversion))
+    values = _stepwise_values("hochberg", n, k, alpha, model)
     return _package("gen_hochberg_stepup", n, k, alpha, model, values)
 
 

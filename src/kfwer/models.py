@@ -26,7 +26,6 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb
 
 import numpy as np
@@ -56,6 +55,8 @@ __all__ = [
     "draw_null_pvalues",
     "draw_scores",
     "chunk_rows",
+    "score_chunks",
+    "checked_pvalues",
     "pmap",
     "score_bands",
     "cutoffs",
@@ -350,10 +351,32 @@ def chunk_rows(n: int) -> int:
     return BLOCK * max(1, min(32, 4_000_000 // (n * BLOCK)))
 
 
+def score_chunks(model: NullModel, mu, reps: int, seed: int, salt: int):
+    """The scores of replications 0..reps-1 in passes of chunk_rows(len(mu))
+    rows: each pass draws whole blocks and yields its leading rows."""
+    step = chunk_rows(len(mu))
+    for start in range(0, reps, step):
+        stop = -(-min(reps, start + step) // BLOCK) * BLOCK
+        yield draw_scores(model, mu, start, stop, seed, salt)[: reps - start]
+
+
 def draw_null_pvalues(model: NullModel, n_cols: int, count: int, seed: int):
     """count x n_cols null p-values: the first count rows of the model stream."""
     whole = -(-int(count) // BLOCK) * BLOCK
     return draw(model, np.zeros(n_cols), 0, whole, seed, MODEL_SALT)[:count]
+
+
+def checked_pvalues(values, shape: tuple) -> np.ndarray:
+    """A float64 copy of a sampler's output; ConfigurationError unless it
+    has the given shape and finite values in [0, 1]."""
+    out = np.array(values, dtype=np.float64)
+    if out.shape != shape:
+        raise ConfigurationError(f"sampler returned shape {out.shape}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise ConfigurationError("sampler returned non-finite p-values")
+    if not ((out >= 0.0) & (out <= 1.0)).all():
+        raise ConfigurationError("sampler returned p-values outside [0, 1]")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +533,17 @@ def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> Nul
     """Build an empirical G_k model from a seeded null sample.
 
     sampler_spec is either a NullModel to draw from or a callable
-    (count, seed) -> array of shape (count, k) of null p-values. The
-    sorted max-of-k sample is stored; gk_evaluate becomes the empirical
-    CDF and gk_quantile the empirical quantile. At least 10**6 draws are
-    recommended.
+    (count, seed) -> array of shape (count, k) of null p-values, finite
+    and in [0, 1] (checked_pvalues). The sorted max-of-k sample is stored;
+    gk_evaluate becomes the empirical CDF and gk_quantile the empirical
+    quantile. At least 10**6 draws are recommended.
     """
     if int(k) != k or k < 1:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     if sample_size < 1000:
         raise ConfigurationError("sample_size below 1000 is too small to be useful")
     if callable(sampler_spec):
-        draws = np.asarray(sampler_spec(sample_size, seed), dtype=float)
+        draws = checked_pvalues(sampler_spec(sample_size, seed), (sample_size, k))
         token_head = f"callable:{getattr(sampler_spec, '__name__', 'sampler')}"
     elif isinstance(sampler_spec, NullModel):
         draws = draw_null_pvalues(sampler_spec, k, sample_size, seed)
@@ -528,10 +551,6 @@ def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> Nul
     else:
         raise ConfigurationError(
             "sampler_spec must be a NullModel or a (count, seed) callable"
-        )
-    if draws.shape != (sample_size, k):
-        raise ConfigurationError(
-            f"sampler produced shape {draws.shape}, expected {(sample_size, k)}"
         )
     maxes = np.sort(draws.max(axis=1)) if k > 1 else np.sort(draws[:, 0])
     return NullModel(
@@ -625,6 +644,27 @@ def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndar
     return np.logaddexp(*sides) - _LOG_SQRT_2PI
 
 
+def _compositions(caps, k: int):
+    """Tuples p with 0 <= p_j <= caps_j summing to k <= sum(caps), in the
+    lexicographic order of itertools.product, each made from the last."""
+    picks, rest, stop = [0] * len(caps), k, 0
+    while True:
+        for j in range(len(caps) - 1, stop - 1, -1):  # the first tail: rest pushed right
+            picks[j] = min(caps[j], rest)
+            rest -= picks[j]
+        yield tuple(picks)
+        # the next tuple raises the rightmost part that can grow with some of k to its right
+        tail = picks[-1]
+        for stop in range(len(caps) - 2, -1, -1):
+            if tail and picks[stop] < caps[stop]:
+                break
+            tail += picks[stop]
+        else:
+            return
+        picks[stop] += 1
+        rest, stop = tail - 1, stop + 1
+
+
 @lru_cache(maxsize=None)
 def _composition_classes(loadings: tuple, k: int):
     """Group size-k subsets by the multiset of loading values they draw.
@@ -633,15 +673,12 @@ def _composition_classes(loadings: tuple, k: int):
     normalized by log C(n, k): averaging costs one integral per class
     instead of one per subset.
     """
-    values = sorted(set(loadings))
-    counts = [sum(1 for lam in loadings if lam == v) for v in values]
+    values, counts = np.unique(loadings, return_counts=True)
     classes = []
-    for picks in product(*(range(min(c, k) + 1) for c in counts)):
-        if sum(picks) != k:
-            continue
+    for picks in _compositions(np.minimum(counts, k).tolist(), k):
         weight = math.prod(comb(c, j) for c, j in zip(counts, picks))
         picks = np.array(picks, dtype=float)
-        classes.append((weight, np.array(values)[picks > 0], picks[picks > 0]))
+        classes.append((weight, values[picks > 0], picks[picks > 0]))
     total = sum(w for w, _, _ in classes)
     if total != comb(len(loadings), k):
         raise ConfigurationError("composition class weights failed the counting check")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .critvals import critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, as_float, as_floats, as_int
-from .models import BLOCK, NullModel, chunk_rows, cutoffs, decide, draw_scores, parse_model
+from .models import NullModel, cutoffs, decide, parse_model, score_chunks
 
 __all__ = [
     "METRICS",
@@ -245,11 +245,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     pw_sum = dict.fromkeys(cfg.procedures, 0.0)
     pw_sumsq = dict.fromkeys(cfg.procedures, 0.0)
 
-    chunk = chunk_rows(n)
-    for start in range(0, reps, chunk):
-        stop = min(reps, start + chunk)
-        whole = -(-stop // BLOCK) * BLOCK
-        scores = draw_scores(cfg.model, mean, start, whole, cfg.seed, SIMLAB_SALT)[: stop - start]
+    for scores in score_chunks(cfg.model, mean, reps, cfg.seed, SIMLAB_SALT):
         # few's columns are copied before decide sorts the rows in place
         for proc, (nrej, hits) in zip(cfg.procedures, decide(scores, scores[:, few], cuts)):
             t_rej = hits if few_true else nrej - hits

@@ -57,10 +57,10 @@ def test_criterion_02_closed_form_cross_check():
     for n in (5, 10, 20, 100, 1000):
         for k in (1, 2, 3, 5):
             closed_s = gen_simes_critvals(n, k, 0.05, independent())
-            inv_s = gen_simes_critvals(n, k, 0.05, independent(), force_inversion=True)
+            # rho = 0 is independence reached through quantile inversion
+            inv_s = gen_simes_critvals(n, k, 0.05, equicorrelated_normal(0.0))
             closed_h = gen_hochberg_critvals(n, k, 0.05, independent())
-            inv_h = gen_hochberg_critvals(n, k, 0.05, independent(),
-                                          force_inversion=True)
+            inv_h = gen_hochberg_critvals(n, k, 0.05, equicorrelated_normal(0.0))
             for a, b in ((closed_s, inv_s), (closed_h, inv_h)):
                 diffs = np.abs(np.asarray(a.values) - np.asarray(b.values))
                 worst = max(worst, float(diffs.max()))

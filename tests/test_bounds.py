@@ -1,4 +1,4 @@
-"""Probability identities: exact small-n quadrature, Monte Carlo, and bounds."""
+"""Probability identities: the exact binomial chain, Monte Carlo, and bounds."""
 
 import math
 import re
@@ -53,7 +53,7 @@ def test_prob_estimate_invariant():
 
 
 # ---------------------------------------------------------------------------
-# exact quadrature
+# exact binomial chain
 
 
 def test_exact_two_uniforms_hand_value():
@@ -83,8 +83,31 @@ def test_exact_classic_simes_identity():
 
 
 def test_exact_scale_limit():
+    assert union_prob_exact_smalln(simes_vector(5, 2)).value == pytest.approx(0.05, rel=1e-12, abs=0.0)
     with pytest.raises(ScaleError):
-        union_prob_exact_smalln(simes_vector(5, 2))
+        union_prob_exact_smalln(simes_vector(201, 2))
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+@pytest.mark.parametrize("alpha", [0.05, 1e-10])
+def test_exact_gen_simes_constants_give_alpha(n, alpha):
+    # under independence the closed-form constants make the union
+    # probability alpha exactly; the chain keeps it to relative accuracy
+    for k in (1, 2, 5):
+        cv = CriticalVector(gen_simes_critvals_closed_form(n, k, alpha).values, k, n)
+        assert union_prob_exact_smalln(cv).value == pytest.approx(alpha, rel=1e-12, abs=0.0), k
+
+
+def test_exact_classic_simes_identity_at_n200():
+    cv = CriticalVector(c=tuple(i * 0.05 / 200 for i in range(1, 201)), k=1, n=200)
+    assert union_prob_exact_smalln(cv).value == pytest.approx(0.05, rel=1e-12, abs=0.0)
+
+
+def test_exact_agrees_with_mc_at_n30():
+    cv = simes_vector(30, 3, alpha=0.2)
+    exact = union_prob_exact_smalln(cv).value
+    est = union_prob_mc(independent(), cv, reps=200_000, seed=30)
+    assert abs(est.value - exact) < 4 * est.std_error
 
 
 # ---------------------------------------------------------------------------

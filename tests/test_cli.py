@@ -516,7 +516,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_cli_start_does_not_import_scipy_integrate():
-    # only bounds.union_prob_exact_smalln needs it, and it is slow to import
+    # nothing in the package needs it, and it is slow to import
     code = "import sys, kfwer.cli; sys.exit('scipy.integrate' in sys.modules)"
     src = os.path.dirname(os.path.dirname(kfwer.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

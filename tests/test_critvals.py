@@ -133,11 +133,12 @@ def test_constants_nondecreasing_in_rank():
 
 def test_closed_form_matches_inversion_spot():
     a = gen_simes_critvals(10, 2, 0.05, independent())
-    b = gen_simes_critvals(10, 2, 0.05, independent(), force_inversion=True)
+    # rho = 0 is independence reached through quantile inversion
+    b = gen_simes_critvals(10, 2, 0.05, equicorrelated_normal(0.0))
     for i in range(2, 11):
         assert abs(a.value_at(i) - b.value_at(i)) < 1e-9
     c = gen_hochberg_critvals(10, 3, 0.05, independent())
-    d = gen_hochberg_critvals(10, 3, 0.05, independent(), force_inversion=True)
+    d = gen_hochberg_critvals(10, 3, 0.05, equicorrelated_normal(0.0))
     for i in range(3, 11):
         assert abs(c.value_at(i) - d.value_at(i)) < 1e-9
     e = gen_simes_critvals_closed_form(10, 2, 0.05)

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -178,6 +180,28 @@ def test_factor_averaged_matches_brute_force_mc():
     assert abs(est - want) < 4 * se
 
 
+def test_compositions_follow_product_order():
+    # the composition classes are summed by logsumexp in this order, so it
+    # must stay the order of the filtered product it replaced
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        # each cap is min(count, k) >= 1 of a model's loading value, and they reach k
+        caps = [int(c) for c in rng.integers(1, 4, int(rng.integers(1, 6)))]
+        k = int(rng.integers(1, sum(caps) + 1))
+        want = [p for p in product(*(range(c + 1) for c in caps)) if sum(p) == k]
+        assert list(models._compositions(caps, k)) == want, (caps, k)
+
+
+def test_factor_many_distinct_loadings_match_subset_mean():
+    # 40 distinct loadings: 780 classes at k = 2, where the filtered product
+    # over the loading values walked 2^40 tuples
+    fm = factor_normal(np.linspace(0.1, 0.9, 40))
+    pairs = list(combinations(range(1, 41), 2))
+    for u in (1e-6, 1e-3, 0.05):
+        want = np.mean([gk_factor_subset(fm, pair, u) for pair in pairs])
+        assert gk_evaluate(fm, 2, u) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # seeded sampling
 
@@ -253,6 +277,19 @@ def test_empirical_build_input_validation():
         gk_empirical_build("not a sampler", k=2, sample_size=2000, seed=1)
     with pytest.raises(ConfigurationError):
         gk_empirical_build(lambda c, s: np.zeros((c, 3)), k=2, sample_size=2000, seed=1)
+
+
+@pytest.mark.parametrize("value, words", [(np.nan, "non-finite"), (2.5, "outside [0, 1]")])
+def test_empirical_build_checks_sampler_values(value, words):
+    # a NaN would sort into the store as its largest value, and a value
+    # above 1 would become a quantile outside [0, 1]
+    def sampler(count, seed):
+        out = np.random.default_rng(seed).uniform(size=(count, 2))
+        out[count // 2, 1] = value
+        return out
+
+    with pytest.raises(ConfigurationError, match=re.escape(words)):
+        gk_empirical_build(sampler, k=2, sample_size=2000, seed=1)
 
 
 def test_t_model_quadrature_matches_seeded_ecdf():

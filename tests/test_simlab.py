@@ -298,7 +298,7 @@ def _check_heavy_ties(monkeypatch, model, decimals, n1):
             padded=tuple(on_grid(cset.padded)),
         )
 
-    monkeypatch.setattr(kfwer.simlab, "draw_scores", rounded_scores)
+    monkeypatch.setattr(kfwer.models, "draw_scores", rounded_scores)
     monkeypatch.setattr(kfwer.simlab, "_constants_for", rounded_constants)
     cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=model,
                            procedures=TIE_PROCEDURES, reps=1000, seed=41, n1=n1,

@@ -12,8 +12,11 @@ and in each pass measures:
   --seed S --seconds 15 --trace 0` run from that checkout;
 - the six canned `kfwer simulate --study` runs, one equicorrelated-t
   `kfwer simulate --config` at n = 100 (T_CONFIG, where the p-map
-  `stdtr` is the largest per-element cost), `kfwer verify --suite all`
-  and the Tier-1 test command.
+  `stdtr` is the largest per-element cost), two large `kfwer critvals`
+  sets (gen-Simes at alpha 0.05: a two-block factor model with
+  FACTOR_LOADINGS at n = 10^4, k = 10, read from a loadings file the
+  script writes, and `t:0.25:5` at n = 1000, k = 2), `kfwer verify
+  --suite all` and the Tier-1 test command.
 
 Every run is recorded. Each workload metric and command wall time is
 also reported as the median over the passes, a command with the largest
@@ -51,6 +54,9 @@ T_CONFIG = {
     "model": "t:0.25:5", "procedures": ["gen-simes", "gen-hochberg", "classic-hochberg"],
     "reps": 20_000, "seed": 107_000, "n1": 10, "effect": 2.0,
 }
+# the two-block factor set: the first half of the n loadings, then the second
+FACTOR_LOADINGS = (0.5, 0.8)
+FACTOR_N, FACTOR_K = 10_000, 10
 
 
 def _arguments(argv):
@@ -140,6 +146,15 @@ def main(argv=None):
     with open(t_config, "w", encoding="utf-8") as fh:
         json.dump(T_CONFIG, fh)
     commands["simulate t n100"] = ["-m", "kfwer.cli", "simulate", "--config", t_config]
+    loadings = os.path.join(config_dir, "two_block.txt")
+    with open(loadings, "w", encoding="utf-8") as fh:
+        half = FACTOR_N // 2
+        low, high = (str(v) for v in FACTOR_LOADINGS)
+        fh.write("\n".join([low] * half + [high] * (FACTOR_N - half)))
+    critvals = ["-m", "kfwer.cli", "critvals", "--procedure", "gen-simes", "--alpha", "0.05"]
+    commands["critvals factor n10000"] = [*critvals, "--model", f"factor:{loadings}",
+                                          "--n", str(FACTOR_N), "--k", str(FACTOR_K)]
+    commands["critvals t n1000"] = [*critvals, "--model", "t:0.25:5", "--n", "1000", "--k", "2"]
     commands["verify all"] = ["-m", "kfwer.cli", "verify", "--suite", "all"]
     commands["tier1 pytest"] = list(TIER1)
     order = list(sides)
@@ -169,6 +184,7 @@ def main(argv=None):
                                 f"--seconds {SECONDS} --trace 0",
             "seeds": list(SEEDS),
             "t_config": T_CONFIG,
+            "factor_set": {"loadings": FACTOR_LOADINGS, "n": FACTOR_N, "k": FACTOR_K},
             "first_pass_order": list(sides),
             "commands": {k: " ".join(["python", *v]) for k, v in commands.items()},
             "threads": "perfbench pins one thread; the commands use the default "
@@ -183,6 +199,7 @@ def main(argv=None):
         },
     }
     os.remove(t_config)
+    os.remove(loadings)
     os.rmdir(config_dir)
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:

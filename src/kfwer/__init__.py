@@ -41,7 +41,6 @@ from .errors import (
 )
 from .models import (
     NullModel,
-    SubsetIndex,
     draw,
     draw_null_pvalues,
     draw_scores,
@@ -59,7 +58,7 @@ from .models import (
     pmap,
     score_bands,
 )
-from .numerics import binomial_tail, find_roots
+from .numerics import find_roots
 from .procedures import (
     DecisionRecord,
     DecisionReport,
@@ -86,8 +85,8 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",
-    "find_roots", "binomial_tail",
-    "NullModel", "SubsetIndex", "independent", "equicorrelated_normal",
+    "find_roots",
+    "NullModel", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
     "draw_scores", "pmap", "score_bands",
     "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",

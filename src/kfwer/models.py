@@ -34,12 +34,11 @@ from scipy.special import (
 )
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
-from .numerics import find_roots, logsumexp
+from .numerics import find_roots, logsumexp, monotone_cubic
 
 __all__ = [
     "RHO_MAX",
     "NullModel",
-    "SubsetIndex",
     "independent",
     "equicorrelated_normal",
     "factor_normal",
@@ -120,23 +119,6 @@ class NullModel:
         if self.kind == "empirical":
             return f"empirical:k={self.built_k}"
         return self.kind
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A size-k subset of {1, ..., n} as a strictly increasing index tuple."""
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(int(i) for i in self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ConfigurationError("subset must not be empty")
-        if any(i < 1 for i in members):
-            raise ConfigurationError("subset members are 1-based positive indices")
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise ConfigurationError("subset members must be strictly increasing")
 
 
 def independent() -> NullModel:
@@ -537,7 +519,16 @@ def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> Nul
     and in [0, 1] (checked_pvalues). The sorted max-of-k sample is stored;
     gk_evaluate becomes the empirical CDF and gk_quantile the empirical
     quantile. At least 10**6 draws are recommended.
+
+    Deprecated, with a FutureWarning: its constants carry Monte Carlo
+    error with no stated relative accuracy.
     """
+    warnings.warn(
+        "gk_empirical_build and the empirical model kind are deprecated (their constants "
+        "carry Monte Carlo error with no stated relative accuracy) and will be removed in "
+        "a later release; use an analytic model kind",
+        FutureWarning, stacklevel=2,
+    )
     if int(k) != k or k < 1:
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     if sample_size < 1000:
@@ -574,6 +565,11 @@ NODES = 48
 _DROP = 40.0
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
+# gk_quantiles starts a set of more than TABLE_NODES targets from a table
+# of log G_k at that many points, then takes at most TABLE_PASSES exact
+# passes over the open roots before the bracketed solve
+TABLE_NODES = 128
+TABLE_PASSES = 3
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -778,6 +774,12 @@ def _check_t(model: NullModel, k: int, u, log_want, want: str) -> None:
         )
 
 
+def _is_power(model: NullModel) -> bool:
+    """Whether G_k(u) = u^k: the independent kind, or rho = 0."""
+    return model.kind == "independent" or (
+        model.kind == "equicorrelated_normal" and model.rho == 0.0)
+
+
 def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     """log G_k(u) for a vector of u in (0, 1), for the analytic model kinds.
 
@@ -791,7 +793,7 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if model.kind == "equicorrelated_t":
         return _log_gk_t(model, k, u, T_NODES)
-    if model.kind == "independent" or (model.kind == "equicorrelated_normal" and model.rho == 0.0):
+    if _is_power(model):
         return k * np.log(u)
     if model.kind == "equicorrelated_normal":
         classes = ((0.0, np.array([math.sqrt(model.rho)]), np.array([float(k)])),)
@@ -847,7 +849,7 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
         return 1.0
     if model.kind == "empirical":
         return _ecdf(_sample_store(model, k), u)
-    if model.kind == "independent" or (model.kind == "equicorrelated_normal" and model.rho == 0.0):
+    if _is_power(model):
         return u**k
     log_g = log_gk(model, k, [u])
     if model.kind == "equicorrelated_t":
@@ -855,17 +857,53 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
     return float(np.exp(log_g[0]))
 
 
+def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.ndarray:
+    """The log roots of gk_quantiles that its table passes certify, NaN
+    where a root is left open."""
+    lo, hi = log_targets, log_targets / k
+    log_roots = np.full(lo.size, np.nan)
+    a, b = lo.min(), hi.max()
+    chebyshev = np.cos(np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES)
+    nodes = np.concatenate(([a], 0.5 * (a + b) - 0.5 * (b - a) * chebyshev, [b]))
+    table = log_gk(model, k, np.exp(nodes))
+    if not (np.isfinite(table).all() and (np.diff(table) > 0.0).all()):
+        return log_roots
+    inverse = monotone_cubic(table, nodes)
+    start = inverse(log_targets)
+    x, j = np.clip(start, lo, hi), np.arange(lo.size)
+    for _ in range(TABLE_PASSES):
+        f = log_gk(model, k, np.exp(x[j])) - log_targets[j]
+        hit = np.abs(f) <= ROOT_TOL
+        log_roots[j[hit]] = x[j[hit]]
+        # a NaN residual leaves its root open, for the bracketed solve
+        moved = ~hit & np.isfinite(f)
+        j, f = j[moved], f[moved]
+        if j.size == 0:
+            break
+        x[j] = np.clip(x[j] + start[j] - inverse(log_targets[j] + f), lo[j], hi[j])
+    return log_roots
+
+
 def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     """Solve G_k(q_j) = targets_j for every j, each target in (0, 1).
 
-    Analytic kinds solve all targets in one batched bracketed solve in
-    (log u, log target) that stops once |log G_k(q_j) - log target_j| <=
-    ROOT_TOL. Positive dependence gives u^k <= G_k(u) <= u, so each root
-    lies in [target, target^(1/k)]. A t root at which a rule of twice the
-    nodes misses the target by more than T_REL_TOL relative raises
-    ConvergenceError. At k = 1 the margins are uniform, G_1(u) = u, and
-    the targets are returned as they are. The empirical kind returns
-    empirical quantiles and raises ConvergenceError below 1/(store size).
+    Analytic kinds solve in (log u, log target): a root is returned only
+    once an exact log_gk gives |log G_k(q_j) - log target_j| <= ROOT_TOL.
+    Positive dependence gives u^k <= G_k(u) <= u, so each root lies in
+    [target, target^(1/k)]. A set of at most TABLE_NODES targets goes to
+    one batched bracketed solve (find_roots). A larger set of a kind other
+    than u^k first tabulates log G_k at TABLE_NODES Chebyshev points in
+    log u over the union of the brackets, plus its two ends, and starts
+    each root at the monotone cubic inverse P of that table; up to
+    TABLE_PASSES exact passes then certify the roots or move them by
+    x <- x + P(log target) - P(log G_k(x)), kept in their brackets, and
+    the roots left open go to the bracketed solve, as does the whole set
+    when the table is not finite and strictly increasing. A t root at
+    which a rule of twice the nodes misses the target by more than
+    T_REL_TOL relative raises ConvergenceError. At k = 1 the margins are
+    uniform, G_1(u) = u, and the targets are returned as they are. The
+    empirical kind returns empirical quantiles and raises
+    ConvergenceError below 1/(store size).
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
@@ -878,10 +916,15 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     if k == 1:
         return targets.copy()
     log_targets = np.log(targets)
-    log_roots = find_roots(
-        lambda x, j: log_gk(model, k, np.exp(x)) - log_targets[j],
-        log_targets, log_targets / k, ROOT_TOL,
-    )
+    log_roots = np.full(targets.size, np.nan)  # NaN: left open
+    if targets.size > TABLE_NODES and not _is_power(model):
+        log_roots = _table_log_roots(model, k, log_targets)
+    j = np.flatnonzero(np.isnan(log_roots))
+    if j.size:
+        log_roots[j] = find_roots(
+            lambda x, i: log_gk(model, k, np.exp(x)) - log_targets[j[i]],
+            log_targets[j], log_targets[j] / k, ROOT_TOL,
+        )
     roots = np.exp(log_roots)
     if model.kind == "equicorrelated_t":
         _check_t(model, k, roots, log_targets, "target")
@@ -894,10 +937,20 @@ def gk_quantile(model: NullModel, k: int, target: float) -> float:
 
 
 def gk_factor_subset(model: NullModel, subset, u: float) -> float:
-    """Pr{max of the p-values indexed by subset <= u} under the factor model."""
+    """Pr{max of the p-values indexed by subset <= u} under the factor model.
+
+    subset is a nonempty, strictly increasing tuple of 1-based indices,
+    each at most n.
+    """
     if model.kind != "factor_normal":
         raise ConfigurationError("gk_factor_subset requires a factor model")
-    members = subset.members if isinstance(subset, SubsetIndex) else SubsetIndex(tuple(subset)).members
+    members = tuple(int(i) for i in subset)
+    if not members:
+        raise ConfigurationError("subset must not be empty")
+    if any(i < 1 for i in members):
+        raise ConfigurationError("subset members are 1-based positive indices")
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ConfigurationError("subset members must be strictly increasing")
     n = len(model.loadings)
     if members[-1] > n:
         raise ConfigurationError(f"subset index {members[-1]} exceeds n={n}")

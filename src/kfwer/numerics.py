@@ -1,19 +1,17 @@
 """Numerical kernels.
 
-Binomial tail sums, a batched bracketed root finder and a log-sum-exp;
-the normal CDF and quantile come from scipy.special (ndtr, ndtri).
+A batched bracketed root finder, a monotone piecewise cubic interpolant
+and a log-sum-exp; the normal CDF and quantile come from scipy.special
+(ndtr, ndtri).
 """
 
-import math
-
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import BracketingError, ConfigurationError, ConvergenceError, DomainError
+from .errors import BracketingError, ConvergenceError
 
 __all__ = [
     "find_roots",
-    "binomial_tail",
+    "monotone_cubic",
     "logsumexp",
 ]
 
@@ -68,6 +66,34 @@ def find_roots(f, lo, hi, tol: float) -> np.ndarray:
     )
 
 
+def monotone_cubic(x, y):
+    """The increasing piecewise cubic through (x_i, y_i), both strictly
+    increasing, as a function of an array of points.
+
+    Each piece is the cubic Hermite interpolant with the slopes of Fritsch
+    and Carlson (SIAM J. Numer. Anal. 17, 1980): the mean of the two
+    neighbouring secants, then on every interval both end slopes scaled by
+    one factor onto the circle alpha^2 + beta^2 <= 9 in units of its
+    secant, which keeps the piece increasing. Points beyond the ends take
+    the end pieces.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h, rise = np.diff(x), np.diff(y)
+    secant = rise / h
+    m = np.concatenate((secant[:1], 0.5 * (secant[:-1] + secant[1:]), secant[-1:]))
+    scale = np.minimum(1.0, 3.0 / np.hypot(m[:-1], m[1:]) * secant)
+    m *= np.minimum(np.append(scale, 1.0), np.insert(scale, 0, 1.0))
+    hm0, hm1 = h * m[:-1], h * m[1:]
+
+    def cubic(q):
+        i = np.clip(np.searchsorted(x, q) - 1, 0, h.size - 1)
+        t = (q - x[i]) / h[i]
+        c = hm0[i] + hm1[i] - 2.0 * rise[i]
+        return y[i] + t * (hm0[i] + t * (3.0 * rise[i] - 2.0 * hm0[i] - hm1[i] + t * c))
+
+    return cubic
+
+
 def logsumexp(a, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along axis for a real array a, by the arithmetic of
     scipy.special.logsumexp (scipy 1.17), so with its bits, without its
@@ -86,32 +112,3 @@ def logsumexp(a, axis: int) -> np.ndarray:
         if not finite.all():
             out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
     return out.squeeze(axis=axis)
-
-
-def binomial_tail(m: int, j0: int, u: float) -> float:
-    """Upper binomial tail sum_{j=j0}^{m} C(m,j) u^j (1-u)^(m-j).
-
-    Evaluated in log space so large m (the order-statistic constants use
-    m up to a few thousand) neither overflows nor underflows.
-    """
-    if m < 1 or int(m) != m:
-        raise ConfigurationError(f"m must be a positive integer, got {m!r}")
-    if not (0 <= j0 <= m) or int(j0) != j0:
-        raise ConfigurationError(f"j0 must be an integer in [0, {m}], got {j0!r}")
-    if not (0.0 <= u <= 1.0):
-        raise DomainError(f"u must lie in [0, 1], got {u!r}")
-    if j0 == 0:
-        return 1.0
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    j = np.arange(j0, m + 1, dtype=float)
-    log_terms = (
-        gammaln(m + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(m - j + 1.0)
-        + j * math.log(u)
-        + (m - j) * math.log1p(-u)
-    )
-    return min(1.0, float(np.exp(logsumexp(log_terms, axis=0))))

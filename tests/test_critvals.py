@@ -12,7 +12,6 @@ from kfwer import (
     ConfigurationError,
     ConvergenceError,
     ScaleError,
-    binomial_tail,
     classic_critvals,
     critical_value_set,
     equicorrelated_normal,
@@ -60,9 +59,9 @@ def test_shared_top_constant_across_stepup_families():
 
 def test_lr_constants_are_rational_closed_form():
     cs = critical_value_set("lr_stepup", 10, 2, 0.05)
-    assert cs.value_at(2) == pytest.approx(0.01, rel=1e-14)
-    assert cs.value_at(10) == pytest.approx(0.05, rel=1e-14)
-    assert cs.value_at(6) == pytest.approx(2 * 0.05 / 6, rel=1e-14)
+    assert cs.value_at(2) == pytest.approx(0.01, rel=1e-14, abs=0.0)
+    assert cs.value_at(10) == pytest.approx(0.05, rel=1e-14, abs=0.0)
+    assert cs.value_at(6) == pytest.approx(2 * 0.05 / 6, rel=1e-14, abs=0.0)
 
 
 def test_lr_label_choices():
@@ -74,11 +73,11 @@ def test_lr_label_choices():
 
 def test_romano_constants_solve_binomial_tail():
     cs = romano_critvals(10, 2, 0.05)
-    # frozen root of binomial_tail(10, 2, u) = 0.05
+    # frozen root of P(Bin(10, u) >= 2) = 0.05
     assert cs.value_at(2) == pytest.approx(0.036771437887465084, rel=1e-9)
     for i in range(2, 11):
         m = 10 - i + 2
-        assert binomial_tail(m, 2, cs.value_at(i)) == pytest.approx(0.05, abs=1e-9)
+        assert scipy.stats.binom.sf(1, m, cs.value_at(i)) == pytest.approx(0.05, abs=1e-9)
     # H_{k,m}(alpha_i) = P(Bin(m, alpha_i) >= k) = alpha, m = n - i + k
     n, k = 1000, 5
     cs = romano_critvals(n, k, 0.05)
@@ -97,10 +96,10 @@ def test_classic_constants():
     si = classic_critvals("classic_simes", 10, 0.05)
     ho = classic_critvals("classic_hochberg", 10, 0.05)
     hm = classic_critvals("classic_holm", 10, 0.05)
-    assert si.value_at(1) == pytest.approx(0.005, rel=1e-14)
-    assert si.value_at(10) == pytest.approx(0.05, rel=1e-14)
-    assert ho.value_at(1) == pytest.approx(0.005, rel=1e-14)
-    assert ho.value_at(10) == pytest.approx(0.05, rel=1e-14)
+    assert si.value_at(1) == pytest.approx(0.005, rel=1e-14, abs=0.0)
+    assert si.value_at(10) == pytest.approx(0.05, rel=1e-14, abs=0.0)
+    assert ho.value_at(1) == pytest.approx(0.005, rel=1e-14, abs=0.0)
+    assert ho.value_at(10) == pytest.approx(0.05, rel=1e-14, abs=0.0)
     assert ho.values == hm.values
     with pytest.raises(ConfigurationError):
         classic_critvals("gen_simes", 10, 0.05)

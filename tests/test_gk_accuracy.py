@@ -127,8 +127,9 @@ def _log_gk_t_quad(rho, dof, k, u):
     ))
 
 
-# the four fig4 sets, and one with stronger correlation, larger k and n
-T_CASES = [(0.25, dof, 10, 2) for dof in (2, 5, 10, 30)] + [(0.75, 5, 20, 3)]
+# the four fig4 sets, one with stronger correlation, larger k and n, and
+# one of more than TABLE_NODES roots, which gk_quantiles starts from a table
+T_CASES = [(0.25, dof, 10, 2) for dof in (2, 5, 10, 30)] + [(0.75, 5, 20, 3), (0.25, 5, 200, 2)]
 
 
 @pytest.mark.parametrize("rho,dof,n,k", T_CASES, ids=lambda v: str(v))

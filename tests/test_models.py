@@ -9,7 +9,6 @@ import pytest
 from kfwer import (
     ConfigurationError,
     ConvergenceError,
-    SubsetIndex,
     draw,
     draw_null_pvalues,
     draw_scores,
@@ -22,12 +21,14 @@ from kfwer import (
     gk_quantile,
     gk_quantiles,
     independent,
+    log_gk,
     parse_model,
     pmap,
     score_bands,
 )
 from kfwer import models
-from kfwer.models import BLOCK, cutoffs, decide
+from kfwer.models import BLOCK, ROOT_TOL, TABLE_NODES, cutoffs, decide
+from kfwer.numerics import find_roots
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +83,13 @@ def test_legacy_t_spec_fields_are_checked_then_dropped_with_a_warning():
         parse_model({"kind": "t", "rho": 0.25, "dof": 5, "samples": 2000})
 
 
-def test_subset_index_validation():
-    assert SubsetIndex((1, 3, 4)).members == (1, 3, 4)
-    with pytest.raises(ConfigurationError):
-        SubsetIndex(())
-    with pytest.raises(ConfigurationError):
-        SubsetIndex((0, 1))
-    with pytest.raises(ConfigurationError):
-        SubsetIndex((2, 2))
+def test_factor_subset_validation():
+    fm = factor_normal((0.5, 0.6, 0.7, 0.8))
+    assert gk_factor_subset(fm, (1, 3, 4), 0.1) == gk_factor_subset(fm, [1, 3, 4], 0.1)
+    for subset, words in [((), "must not be empty"), ((0, 1), "1-based"),
+                          ((2, 2), "strictly increasing"), ((1, 5), "exceeds n=4")]:
+        with pytest.raises(ConfigurationError, match=words):
+            gk_factor_subset(fm, subset, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,93 @@ def test_gk_quantile_independent_closed_form():
 
 
 # ---------------------------------------------------------------------------
+# G_k inversion of large sets from a table
+
+
+def _simes_targets(n, k, alpha=0.05):
+    return np.array([alpha * math.comb(i, k) / math.comb(n, k) for i in range(k, n + 1)])
+
+
+def _bracketed(model, k, targets):
+    """The roots of one batched bracketed solve, which small sets take."""
+    log_t = np.log(targets)
+    return np.exp(find_roots(lambda x, j: log_gk(model, k, np.exp(x)) - log_t[j],
+                             log_t, log_t / k, ROOT_TOL))
+
+
+TABLE_CASES = [  # (model, k, number of targets)
+    (equicorrelated_normal(0.3), 2, 199),
+    (factor_normal((0.5,) * 100 + (0.8,) * 100), 3, 198),
+    (equicorrelated_t(0.25, 5), 2, TABLE_NODES + 1),
+]
+
+
+def _logged_log_gk(monkeypatch):
+    """Record the number of points of every log_gk call gk_quantiles makes."""
+    sizes, exact = [], models.log_gk
+
+    def logged(m, k, u):
+        sizes.append(np.size(u))
+        return exact(m, k, u)
+
+    monkeypatch.setattr(models, "log_gk", logged)
+    return sizes
+
+
+def test_sets_up_to_table_nodes_keep_the_bracketed_solve(monkeypatch):
+    model, targets = equicorrelated_normal(0.3), _simes_targets(TABLE_NODES + 1, 2)
+    assert targets.size == TABLE_NODES
+    want = _bracketed(model, 2, targets)
+    sizes = _logged_log_gk(monkeypatch)
+    assert np.array_equal(gk_quantiles(model, 2, targets), want)
+    assert sizes[0] == TABLE_NODES  # no table
+
+
+@pytest.mark.parametrize("model, k, size", TABLE_CASES,
+                         ids=lambda v: v.describe() if isinstance(v, models.NullModel) else None)
+def test_table_roots_are_certified_and_near_the_bracketed_roots(monkeypatch, model, k, size):
+    targets = _simes_targets(size + k - 1, k)
+    want = _bracketed(model, k, targets)
+    sizes = _logged_log_gk(monkeypatch)
+    got = gk_quantiles(model, k, targets)
+    monkeypatch.undo()
+    assert sizes[0] == TABLE_NODES + 2  # the table, then the exact passes
+    assert len(sizes) <= 4
+    assert np.all(np.abs(log_gk(model, k, got) - np.log(targets)) <= ROOT_TOL)
+    assert np.all(np.abs(got / want - 1.0) <= 1e-9)
+
+
+def test_no_exact_pass_falls_back_to_the_bracketed_solve(monkeypatch):
+    model, targets = equicorrelated_normal(0.45), _simes_targets(300, 3)
+    monkeypatch.setattr(models, "TABLE_PASSES", 0)
+    assert np.array_equal(gk_quantiles(model, 3, targets), _bracketed(model, 3, targets))
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["table", "first pass"])
+def test_a_nan_log_gk_is_never_a_root(monkeypatch, call):
+    # a NaN in the table sends the whole set to the bracketed solve; a NaN
+    # residual in a pass keeps its root open until that solve certifies it
+    model, targets = equicorrelated_normal(0.3), _simes_targets(200, 2)
+    calls, exact = [], models.log_gk
+
+    def poisoned(m, k, u):
+        out = exact(m, k, u)
+        if len(calls) == call:
+            out[0] = np.nan
+        calls.append(np.size(u))
+        return out
+
+    monkeypatch.setattr(models, "log_gk", poisoned)
+    got = gk_quantiles(model, 2, targets)
+    monkeypatch.undo()
+    assert np.all(np.abs(log_gk(model, 2, got) - np.log(targets)) <= ROOT_TOL)
+    if call == 0:
+        assert np.array_equal(got, _bracketed(model, 2, targets))
+    else:
+        assert calls[-1] < targets.size  # the bracketed solve of the open roots
+
+
+# ---------------------------------------------------------------------------
 # factor model: two independent routes to the same quantity
 
 
@@ -148,7 +235,7 @@ def test_factor_subset_pair_equals_equicorr():
     fm = factor_normal((lam, lam, 0.3))
     em = equicorrelated_normal(lam * lam)
     for u in (0.01, 0.1, 0.4):
-        got = gk_factor_subset(fm, SubsetIndex((1, 2)), u)
+        got = gk_factor_subset(fm, (1, 2), u)
         want = gk_evaluate(em, 2, u)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -239,11 +326,17 @@ def test_draw_null_pvalues_joint_probability_matches_gk():
 # empirical stores
 
 
+def _empirical(*args, **kwargs):
+    """gk_empirical_build, which must warn that it is deprecated."""
+    with pytest.warns(FutureWarning, match="deprecated"):
+        return gk_empirical_build(*args, **kwargs)
+
+
 def test_empirical_build_from_callable_is_exact_ecdf():
     def sampler(count, seed):
         return draw_null_pvalues(equicorrelated_normal(0.25), 2, count, seed)
 
-    m = gk_empirical_build(sampler, k=2, sample_size=5000, seed=17)
+    m = _empirical(sampler, k=2, sample_size=5000, seed=17)
     draws = sampler(5000, 17)
     maxes = np.sort(draws.max(axis=1))
     u = float(maxes[2499])
@@ -254,7 +347,7 @@ def test_empirical_build_from_callable_is_exact_ecdf():
 
 
 def test_empirical_quantile_refuses_targets_below_store_resolution():
-    m = gk_empirical_build(independent(), k=2, sample_size=1000, seed=9)
+    m = _empirical(independent(), k=2, sample_size=1000, seed=9)
     with pytest.raises(ConvergenceError, match="at least 1000000 draws"):
         gk_quantile(m, 2, 1e-6)
     # at target = 1/N the smallest stored max is the exact generalized inverse
@@ -265,18 +358,18 @@ def test_empirical_build_rejects_wrong_k():
     def sampler(count, seed):
         return draw_null_pvalues(independent(), 3, count, seed)
 
-    m = gk_empirical_build(sampler, k=3, sample_size=2000, seed=5)
+    m = _empirical(sampler, k=3, sample_size=2000, seed=5)
     with pytest.raises(ConfigurationError):
         gk_evaluate(m, 2, 0.1)
 
 
 def test_empirical_build_input_validation():
     with pytest.raises(ConfigurationError):
-        gk_empirical_build(independent(), k=2, sample_size=10, seed=1)
+        _empirical(independent(), k=2, sample_size=10, seed=1)
     with pytest.raises(ConfigurationError):
-        gk_empirical_build("not a sampler", k=2, sample_size=2000, seed=1)
+        _empirical("not a sampler", k=2, sample_size=2000, seed=1)
     with pytest.raises(ConfigurationError):
-        gk_empirical_build(lambda c, s: np.zeros((c, 3)), k=2, sample_size=2000, seed=1)
+        _empirical(lambda c, s: np.zeros((c, 3)), k=2, sample_size=2000, seed=1)
 
 
 @pytest.mark.parametrize("value, words", [(np.nan, "non-finite"), (2.5, "outside [0, 1]")])
@@ -289,7 +382,7 @@ def test_empirical_build_checks_sampler_values(value, words):
         return out
 
     with pytest.raises(ConfigurationError, match=re.escape(words)):
-        gk_empirical_build(sampler, k=2, sample_size=2000, seed=1)
+        _empirical(sampler, k=2, sample_size=2000, seed=1)
 
 
 def test_t_model_quadrature_matches_seeded_ecdf():
@@ -300,7 +393,7 @@ def test_t_model_quadrature_matches_seeded_ecdf():
     vals = [gk_evaluate(m, 2, u) for u in (0.01, 0.05, 0.1, 0.5)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     size = 10**6
-    ecdf = gk_empirical_build(m, 2, size, seed=77)
+    ecdf = _empirical(m, 2, size, seed=77)
     targets = [0.05 * math.comb(i, 2) / math.comb(10, 2) for i in range(2, 11)]
     for target, q in zip(targets, gk_quantiles(m, 2, targets)):
         assert gk_evaluate(m, 2, q) == pytest.approx(target, rel=1e-8)

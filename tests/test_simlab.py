@@ -180,7 +180,8 @@ def test_draw_input_checks():
         draw(independent(), (0.0, math.inf), 0, BLOCK, 1, SIMLAB_SALT)
     with pytest.raises(ConfigurationError):
         draw(factor_normal((0.5, 0.5)), np.zeros(3), 0, BLOCK, 1, SIMLAB_SALT)
-    empirical = kfwer.gk_empirical_build(independent(), 2, 1000, 1)
+    with pytest.warns(FutureWarning, match="deprecated"):
+        empirical = kfwer.gk_empirical_build(independent(), 2, 1000, 1)
     with pytest.raises(ConfigurationError):
         draw(empirical, np.zeros(2), 0, BLOCK, 1, SIMLAB_SALT)
 

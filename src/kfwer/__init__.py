@@ -47,7 +47,6 @@ from .models import (
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
-    gk_empirical_build,
     gk_evaluate,
     gk_factor_subset,
     gk_quantile,
@@ -89,7 +88,7 @@ __all__ = [
     "NullModel", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
     "draw_scores", "pmap", "score_bands",
-    "gk_empirical_build", "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
+    "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
     "gk_factor_subset",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",
     "gen_simes_critvals", "gen_simes_critvals_closed_form",

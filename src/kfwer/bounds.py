@@ -36,7 +36,7 @@ __all__ = [
     "bonferroni_eq23",
 ]
 
-_METHODS = ("monte_carlo", "exact_quadrature", "closed_form")
+_METHODS = ("monte_carlo", "exact_chain", "closed_form")
 EXACT_N_MAX = 200  # largest n of union_prob_exact_smalln, whose chain costs O(n^3)
 
 
@@ -210,7 +210,7 @@ def union_prob_exact_smalln(cv: CriticalVector) -> ProbEstimate:
         flow = law @ np.exp(log_comb[: law.size] + xlogy(step[: law.size], q) + xlog1py(n - to, -q))
         value += flow[i:].sum()
         law, prev = flow[:i], edge
-    return ProbEstimate(min(value, 1.0), 0.0, 0, "exact_quadrature")
+    return ProbEstimate(min(value, 1.0), 0.0, 0, "exact_chain")
 
 
 def bound_eq22(fk, cv: CriticalVector) -> float:

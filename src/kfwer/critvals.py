@@ -73,7 +73,7 @@ def _validate(n, k, alpha):
 
 def _package(procedure, n, k, alpha, model, values) -> CriticalValueSet:
     # the targets rise strictly in i, so exact constants rise too; ties are
-    # legal only because empirical quantiles of a sample store can repeat
+    # legal, since the decision kernels need only nondecreasing padded constants
     vals = np.asarray(values, dtype=float)
     drops = np.flatnonzero(vals[1:] < vals[:-1])
     if drops.size:

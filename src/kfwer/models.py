@@ -17,14 +17,14 @@ equicorrelated_t
     the equicorrelated normal divided by a shared chi scale; G_k by a
     fixed two-dimensional quadrature over the normal factor and the
     scale, every value checked against a rule of twice the nodes.
-empirical
-    seeded sample of max-of-k values built by gk_empirical_build.
+
+Every kind is analytic: each constant meets G_k(u) = target to a stated
+relative accuracy.
 """
 
 import math
 import warnings
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -44,7 +44,6 @@ __all__ = [
     "factor_normal",
     "equicorrelated_t",
     "parse_model",
-    "gk_empirical_build",
     "gk_evaluate",
     "gk_quantile",
     "gk_quantiles",
@@ -75,7 +74,6 @@ KINDS = (
     "equicorrelated_normal",
     "factor_normal",
     "equicorrelated_t",
-    "empirical",
 )
 
 
@@ -85,9 +83,6 @@ class NullModel:
     rho: float = 0.0
     loadings: tuple = ()
     dof: int = 0
-    built_k: int = 0
-    store_token: tuple = ()
-    sample_store: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -116,8 +111,6 @@ class NullModel:
             return f"factor:n={len(self.loadings)}"
         if self.kind == "equicorrelated_t":
             return f"t:{self.rho!r}:{self.dof}"
-        if self.kind == "empirical":
-            return f"empirical:k={self.built_k}"
         return self.kind
 
 
@@ -294,7 +287,7 @@ def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: in
         )
     if stop <= start:
         raise ConfigurationError(f"count must be positive, got stop - start = {stop - start}")
-    if not isinstance(model, NullModel) or model.kind == "empirical":
+    if not isinstance(model, NullModel):
         raise ConfigurationError(f"cannot sample from {model!r}")
     if model.kind == "factor_normal" and mu.size > len(model.loadings):
         raise ConfigurationError(
@@ -509,47 +502,6 @@ def _decide_sorted(rows, few, cut):
             if few is not None:
                 hits[unsettled] = p_hits
     return nrej, hits
-
-
-def gk_empirical_build(sampler_spec, k: int, sample_size: int, seed: int) -> NullModel:
-    """Build an empirical G_k model from a seeded null sample.
-
-    sampler_spec is either a NullModel to draw from or a callable
-    (count, seed) -> array of shape (count, k) of null p-values, finite
-    and in [0, 1] (checked_pvalues). The sorted max-of-k sample is stored;
-    gk_evaluate becomes the empirical CDF and gk_quantile the empirical
-    quantile. At least 10**6 draws are recommended.
-
-    Deprecated, with a FutureWarning: its constants carry Monte Carlo
-    error with no stated relative accuracy.
-    """
-    warnings.warn(
-        "gk_empirical_build and the empirical model kind are deprecated (their constants "
-        "carry Monte Carlo error with no stated relative accuracy) and will be removed in "
-        "a later release; use an analytic model kind",
-        FutureWarning, stacklevel=2,
-    )
-    if int(k) != k or k < 1:
-        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
-    if sample_size < 1000:
-        raise ConfigurationError("sample_size below 1000 is too small to be useful")
-    if callable(sampler_spec):
-        draws = checked_pvalues(sampler_spec(sample_size, seed), (sample_size, k))
-        token_head = f"callable:{getattr(sampler_spec, '__name__', 'sampler')}"
-    elif isinstance(sampler_spec, NullModel):
-        draws = draw_null_pvalues(sampler_spec, k, sample_size, seed)
-        token_head = sampler_spec.describe()
-    else:
-        raise ConfigurationError(
-            "sampler_spec must be a NullModel or a (count, seed) callable"
-        )
-    maxes = np.sort(draws.max(axis=1)) if k > 1 else np.sort(draws[:, 0])
-    return NullModel(
-        kind="empirical",
-        built_k=int(k),
-        store_token=(token_head, int(k), int(sample_size), int(seed)),
-        sample_store=maxes,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +733,7 @@ def _is_power(model: NullModel) -> bool:
 
 
 def log_gk(model: NullModel, k: int, u) -> np.ndarray:
-    """log G_k(u) for a vector of u in (0, 1), for the analytic model kinds.
+    """log G_k(u) for a vector of u in (0, 1), for every model kind.
 
     Independent models (and rho = 0) give k log u. The one-factor normal
     kinds sum _log_one_factor over composition classes by logsumexp: the
@@ -797,46 +749,20 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
         return k * np.log(u)
     if model.kind == "equicorrelated_normal":
         classes = ((0.0, np.array([math.sqrt(model.rho)]), np.array([float(k)])),)
-    elif model.kind == "factor_normal":
+    else:
         n = len(model.loadings)
         if k > n:
             raise ConfigurationError(f"k={k} exceeds the number of loadings n={n}")
         classes = _composition_classes(model.loadings, k)
-    else:
-        raise ConfigurationError(f"log_gk needs an analytic model, got {model.kind!r}")
     t = -ndtri(u)
     return logsumexp(np.array([w + _log_one_factor(lam, mult, t) for w, lam, mult in classes]), axis=0)
-
-
-def _sample_store(model: NullModel, k: int) -> np.ndarray:
-    if k != model.built_k:
-        raise ConfigurationError(
-            f"empirical model was built for k={model.built_k}, asked for k={k}"
-        )
-    return model.sample_store
-
-
-def _ecdf(sorted_values: np.ndarray, u: float) -> float:
-    return bisect_right(sorted_values, u) / len(sorted_values)
-
-
-def _ecdf_quantile(sorted_values: np.ndarray, target: float) -> float:
-    # generalized inverse: smallest stored value with CDF >= target; below
-    # 1/size no stored value has its CDF that low, so none is an answer
-    size = len(sorted_values)
-    if target * size < 1.0:
-        raise ConvergenceError(
-            f"target {target:.6g} is below the resolution 1/{size} of a {size}-draw "
-            f"sample store; it needs at least {math.ceil(1.0 / target)} draws"
-        )
-    return float(sorted_values[math.ceil(target * size) - 1])
 
 
 def gk_evaluate(model: NullModel, k: int, u: float) -> float:
     """G_k(u): null CDF of the maximum of any k p-values at u.
 
     Outside (0, 1) the exact endpoint values 0 and 1 are returned. The
-    analytic kinds other than u^k are exp(log_gk) at one point; a t value
+    kinds other than u^k are exp(log_gk) at one point; a t value
     that a rule of twice the nodes does not confirm to T_REL_TOL raises
     ConvergenceError.
     """
@@ -847,8 +773,6 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
         return 0.0
     if u >= 1.0:
         return 1.0
-    if model.kind == "empirical":
-        return _ecdf(_sample_store(model, k), u)
     if _is_power(model):
         return u**k
     log_g = log_gk(model, k, [u])
@@ -887,7 +811,7 @@ def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.nd
 def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     """Solve G_k(q_j) = targets_j for every j, each target in (0, 1).
 
-    Analytic kinds solve in (log u, log target): a root is returned only
+    Every kind solves in (log u, log target): a root is returned only
     once an exact log_gk gives |log G_k(q_j) - log target_j| <= ROOT_TOL.
     Positive dependence gives u^k <= G_k(u) <= u, so each root lies in
     [target, target^(1/k)]. A set of at most TABLE_NODES targets goes to
@@ -901,18 +825,13 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     when the table is not finite and strictly increasing. A t root at
     which a rule of twice the nodes misses the target by more than
     T_REL_TOL relative raises ConvergenceError. At k = 1 the margins are
-    uniform, G_1(u) = u, and the targets are returned as they are. The
-    empirical kind returns empirical quantiles and raises
-    ConvergenceError below 1/(store size).
+    uniform, G_1(u) = u, and the targets are returned as they are.
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
     outside = ~((targets > 0.0) & (targets < 1.0))
     if outside.any():
         raise DomainError(f"target must lie in (0, 1), got {float(targets[outside][0])!r}")
-    if model.kind == "empirical":
-        store = _sample_store(model, k)
-        return np.array([_ecdf_quantile(store, float(x)) for x in targets])
     if k == 1:
         return targets.copy()
     log_targets = np.log(targets)

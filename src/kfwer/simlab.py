@@ -32,7 +32,7 @@ its p-values instead, so every decision is the one its p-values give.
 
 Two salts keep the streams of different subsystems apart when a user
 reuses one seed: SIMLAB_SALT here, models.MODEL_SALT for null-only draws
-(draw_null_pvalues: the bounds oracles and the empirical G_k store).
+(draw_null_pvalues: the bounds oracles).
 
 Metrics, all proportions over replications:
   power_at_least_k        k or more rejections in total
@@ -120,8 +120,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.model, NullModel):
             raise ConfigurationError("model must be a NullModel")
-        if self.model.kind == "empirical":
-            raise ConfigurationError("empirical models cannot generate samples")
         if self.model.kind == "factor_normal" and len(self.model.loadings) != n:
             raise ConfigurationError(
                 f"factor model has {len(self.model.loadings)} loadings, config has n={n}"

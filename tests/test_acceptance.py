@@ -76,7 +76,7 @@ def test_criterion_03_exactness():
     npass, total, failed = summarize(results)
     ok = npass == total
     verdict(3, ok, f"i.i.d. uniform k-FWER equals alpha: {npass}/{total} checks "
-                   "(quadrature n <= 4 at 1e-8, MC n=10 within 4 SE)")
+                   "(chain n <= 200 at 1e-8, MC n=10 within 4 SE)")
     assert ok, failed
 
 

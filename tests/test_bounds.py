@@ -43,11 +43,11 @@ def test_critical_vector_validation():
 
 def test_prob_estimate_invariant():
     ProbEstimate(0.5, 0.001, 1000, "monte_carlo")
-    ProbEstimate(0.5, 0.0, 0, "exact_quadrature")
+    ProbEstimate(0.5, 0.0, 0, "exact_chain")
     with pytest.raises(ConfigurationError):
         ProbEstimate(0.5, 0.0, 1000, "monte_carlo")
     with pytest.raises(ConfigurationError):
-        ProbEstimate(0.5, 0.001, 0, "exact_quadrature")
+        ProbEstimate(0.5, 0.001, 0, "exact_chain")
     with pytest.raises(ConfigurationError):
         ProbEstimate(0.5, 0.001, 1000, "guesswork")
 
@@ -60,7 +60,7 @@ def test_exact_two_uniforms_hand_value():
     # Pr{P_(1) <= 0.025 or P_(2) <= 0.05} = 2*0.025*0.95 + 0.05^2 + 2*0.025*0.05
     cv = CriticalVector(c=(0.025, 0.05), k=1, n=2)
     est = union_prob_exact_smalln(cv)
-    assert est.method == "exact_quadrature"
+    assert est.method == "exact_chain"
     assert est.std_error == 0.0
     assert est.value == pytest.approx(0.05, abs=1e-12)
 
@@ -149,10 +149,12 @@ def test_union_mc_accepts_callable_sampler():
         union_prob_mc(bad, cv, reps=100_000, seed=12)
 
 
-@pytest.mark.parametrize("value, words", [(np.nan, "non-finite"), (-3.0, "outside [0, 1]")])
+@pytest.mark.parametrize("value, words", [
+    (np.nan, "non-finite"), (-3.0, "outside [0, 1]"), (2.5, "outside [0, 1]"),
+])
 def test_callable_sampler_values_are_checked(value, words):
-    # a NaN or a negative value is no p-value: compared with the constants
-    # it would read as no hit or as a sure hit
+    # a NaN, a negative value or a value above 1 is no p-value: compared
+    # with the constants it would read as a sure hit or as no hit
     def sampler(reps, seed):
         out = np.random.default_rng(seed).uniform(size=(reps, 3))
         out[reps // 2, 1] = value

@@ -10,11 +10,14 @@ import pytest
 import kfwer
 import kfwer.cli as cli
 from kfwer import (
+    ConfigurationError,
     ExperimentConfig,
+    NullModel,
     NumericalError,
     PValueVector,
     gen_simes_critvals,
     independent,
+    parse_model,
     run_experiment,
     stepup_apply,
 )
@@ -428,6 +431,18 @@ def test_simulate_rejects_bad_field_values(tmp_path, capsys, override, fragment)
     code, out, err = run_cli(capsys, "simulate", "--config", path)
     assert code == 2 and out == ""
     assert err.startswith("error:") and fragment in err
+
+
+def test_empirical_kind_is_refused(tmp_path, capsys):
+    # the sample-store kind is gone: every model kind is analytic
+    with pytest.raises(ConfigurationError, match="unknown model kind 'empirical'"):
+        NullModel(kind="empirical")
+    with pytest.raises(ConfigurationError, match="unknown model kind 'empirical'"):
+        parse_model({"kind": "empirical"})
+    path = write_config(tmp_path, config_doc(model={"kind": "empirical"}))
+    code, out, err = run_cli(capsys, "simulate", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unknown model kind 'empirical'" in err
 
 
 def test_simulate_all_failures_exit_3(tmp_path, capsys, monkeypatch):

@@ -209,7 +209,7 @@ def test_decreasing_constants_raise_instead_of_being_patched(monkeypatch):
 
 
 def test_tied_constants_stay_legal(monkeypatch):
-    # empirical quantiles of a sample store can repeat
+    # the decision kernels need only nondecreasing padded constants
     monkeypatch.setattr("kfwer.critvals.gk_quantiles",
                         lambda model, k, targets: np.full(len(targets), 0.02))
     cs = gen_hochberg_critvals(8, 2, 0.0422, equicorrelated_normal(0.37))

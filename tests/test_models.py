@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 from itertools import combinations, product
 
@@ -15,7 +14,6 @@ from kfwer import (
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
-    gk_empirical_build,
     gk_evaluate,
     gk_factor_subset,
     gk_quantile,
@@ -322,69 +320,6 @@ def test_draw_null_pvalues_joint_probability_matches_gk():
     assert abs(est - want) < 4 * se
 
 
-# ---------------------------------------------------------------------------
-# empirical stores
-
-
-def _empirical(*args, **kwargs):
-    """gk_empirical_build, which must warn that it is deprecated."""
-    with pytest.warns(FutureWarning, match="deprecated"):
-        return gk_empirical_build(*args, **kwargs)
-
-
-def test_empirical_build_from_callable_is_exact_ecdf():
-    def sampler(count, seed):
-        return draw_null_pvalues(equicorrelated_normal(0.25), 2, count, seed)
-
-    m = _empirical(sampler, k=2, sample_size=5000, seed=17)
-    draws = sampler(5000, 17)
-    maxes = np.sort(draws.max(axis=1))
-    u = float(maxes[2499])
-    assert gk_evaluate(m, 2, u) == pytest.approx(2500 / 5000)
-    # generalized inverse: smallest stored value whose ECDF reaches the target
-    q = gk_quantile(m, 2, 0.5)
-    assert gk_evaluate(m, 2, q) >= 0.5
-
-
-def test_empirical_quantile_refuses_targets_below_store_resolution():
-    m = _empirical(independent(), k=2, sample_size=1000, seed=9)
-    with pytest.raises(ConvergenceError, match="at least 1000000 draws"):
-        gk_quantile(m, 2, 1e-6)
-    # at target = 1/N the smallest stored max is the exact generalized inverse
-    assert gk_quantile(m, 2, 1e-3) == float(m.sample_store[0])
-
-
-def test_empirical_build_rejects_wrong_k():
-    def sampler(count, seed):
-        return draw_null_pvalues(independent(), 3, count, seed)
-
-    m = _empirical(sampler, k=3, sample_size=2000, seed=5)
-    with pytest.raises(ConfigurationError):
-        gk_evaluate(m, 2, 0.1)
-
-
-def test_empirical_build_input_validation():
-    with pytest.raises(ConfigurationError):
-        _empirical(independent(), k=2, sample_size=10, seed=1)
-    with pytest.raises(ConfigurationError):
-        _empirical("not a sampler", k=2, sample_size=2000, seed=1)
-    with pytest.raises(ConfigurationError):
-        _empirical(lambda c, s: np.zeros((c, 3)), k=2, sample_size=2000, seed=1)
-
-
-@pytest.mark.parametrize("value, words", [(np.nan, "non-finite"), (2.5, "outside [0, 1]")])
-def test_empirical_build_checks_sampler_values(value, words):
-    # a NaN would sort into the store as its largest value, and a value
-    # above 1 would become a quantile outside [0, 1]
-    def sampler(count, seed):
-        out = np.random.default_rng(seed).uniform(size=(count, 2))
-        out[count // 2, 1] = value
-        return out
-
-    with pytest.raises(ConfigurationError, match=re.escape(words)):
-        _empirical(sampler, k=2, sample_size=2000, seed=1)
-
-
 def test_t_model_quadrature_matches_seeded_ecdf():
     # the constants of a gen-Simes set under the t model, each checked
     # against the ECDF of 10^6 seeded max-of-2 t draws to 4 binomial SE
@@ -393,12 +328,13 @@ def test_t_model_quadrature_matches_seeded_ecdf():
     vals = [gk_evaluate(m, 2, u) for u in (0.01, 0.05, 0.1, 0.5)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     size = 10**6
-    ecdf = _empirical(m, 2, size, seed=77)
+    store = np.sort(draw_null_pvalues(m, 2, size, seed=77).max(axis=1))
     targets = [0.05 * math.comb(i, 2) / math.comb(10, 2) for i in range(2, 11)]
     for target, q in zip(targets, gk_quantiles(m, 2, targets)):
         assert gk_evaluate(m, 2, q) == pytest.approx(target, rel=1e-8)
         band = 4.0 * math.sqrt(target * (1.0 - target) / size)
-        assert abs(gk_evaluate(ecdf, 2, q) - target) <= band, (q, target)
+        ecdf = np.searchsorted(store, q, side="right") / size
+        assert abs(ecdf - target) <= band, (q, target)
 
 
 def test_t_model_large_dof_approaches_normal():

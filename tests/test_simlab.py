@@ -180,10 +180,6 @@ def test_draw_input_checks():
         draw(independent(), (0.0, math.inf), 0, BLOCK, 1, SIMLAB_SALT)
     with pytest.raises(ConfigurationError):
         draw(factor_normal((0.5, 0.5)), np.zeros(3), 0, BLOCK, 1, SIMLAB_SALT)
-    with pytest.warns(FutureWarning, match="deprecated"):
-        empirical = kfwer.gk_empirical_build(independent(), 2, 1000, 1)
-    with pytest.raises(ConfigurationError):
-        draw(empirical, np.zeros(2), 0, BLOCK, 1, SIMLAB_SALT)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +425,12 @@ def test_canned_study_catalog():
 # config count and the SHA-256 of the repr of the config tuple. A change
 # to any field, model, seed, name or the order of a grid shows here.
 CANNED_GRID_DIGESTS = {
-    "fig1": (88, "c59cbe7dfb71fd59a75f0e1bd77987442614c2c55123da9ba452c3825263fcec"),
-    "fig2": (50, "9079ebcf909ef66e68a29cbf7d8eba778fd072262a28a0af22e35a8e166f5cd8"),
-    "fig3": (6, "231e7ef68615a0ec01da5aef1d52be960a0ee6d25b827ec23c709ecf32f6a621"),
-    "fig4": (20, "fa637140ca0995268b7af7d51990d0dd7b8ec32d3d8cea837a0151d579d80972"),
-    "fig5": (10, "c36010b467ba98d508c1d13d9bfb86be4679851670398fee9de24bdc4d95c4fd"),
-    "table2": (16, "84a7341dc410bc79c53bbe976a5ae8ae6decf670d88204bda3e50d5c83c253ce"),
+    "fig1": (88, "d2d55085048b4cd5694a559ae5b3a6158fe29c4dd2e829eff7962f170d70d11b"),
+    "fig2": (50, "e727cb3eac5cbc90941fd3e4406348911bb354fb26d2c6f55f700b497a8fe532"),
+    "fig3": (6, "f5fa4485ffcbc8eb9acc556fbff20005cfd6f13f647624b25f1463c6c8dff4e4"),
+    "fig4": (20, "6aa4c2f2a3bb2699508fc7584d42f9b9c2b48e79bf2accd9ea35bbe315ef9a23"),
+    "fig5": (10, "2b9faae901d6ceb57ea14dcc113f913fb7cfb8492eaac2f069d198d0400efd0d"),
+    "table2": (16, "3c03b862091d4dcf945c099edf61567447a36f485e40b2950b0cbfe987867c78"),
 }
 
 

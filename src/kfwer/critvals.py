@@ -86,15 +86,15 @@ def _package(procedure, n, k, alpha, model, values) -> CriticalValueSet:
         raise ConfigurationError(
             f"critical values escaped (0, 1): alpha_k={vals[0]!r}, alpha_n={vals[-1]!r}"
         )
-    padded = tuple(float(vals[max(i, k) - k]) for i in range(1, n + 1))
+    values = tuple(vals.tolist())
     return CriticalValueSet(
         procedure=procedure,
         n=n,
         k=k,
         alpha=alpha,
         model=model,
-        values=tuple(float(v) for v in vals),
-        padded=padded,
+        values=values,
+        padded=(values[0],) * (k - 1) + values,
     )
 
 

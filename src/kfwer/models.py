@@ -517,10 +517,9 @@ NODES = 48
 _DROP = 40.0
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
-# gk_quantiles starts a set of more than TABLE_NODES targets from a table
-# of log G_k at that many points, then takes at most TABLE_PASSES exact
-# passes over the open roots before the bracketed solve
-TABLE_NODES = 128
+# gk_quantiles tables log G_k at clip(m, TABLE_FLOOR, TABLE_NODES) points for
+# m >= 2 targets, then takes at most TABLE_PASSES exact passes before find_roots
+TABLE_FLOOR, TABLE_NODES = 32, 128
 TABLE_PASSES = 3
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -787,7 +786,8 @@ def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.nd
     lo, hi = log_targets, log_targets / k
     log_roots = np.full(lo.size, np.nan)
     a, b = lo.min(), hi.max()
-    chebyshev = np.cos(np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES)
+    size = min(max(lo.size, TABLE_FLOOR), TABLE_NODES)
+    chebyshev = np.cos(np.pi * (np.arange(size) + 0.5) / size)
     nodes = np.concatenate(([a], 0.5 * (a + b) - 0.5 * (b - a) * chebyshev, [b]))
     table = log_gk(model, k, np.exp(nodes))
     if not (np.isfinite(table).all() and (np.diff(table) > 0.0).all()):
@@ -814,16 +814,16 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     Every kind solves in (log u, log target): a root is returned only
     once an exact log_gk gives |log G_k(q_j) - log target_j| <= ROOT_TOL.
     Positive dependence gives u^k <= G_k(u) <= u, so each root lies in
-    [target, target^(1/k)]. A set of at most TABLE_NODES targets goes to
-    one batched bracketed solve (find_roots). A larger set of a kind other
-    than u^k first tabulates log G_k at TABLE_NODES Chebyshev points in
-    log u over the union of the brackets, plus its two ends, and starts
-    each root at the monotone cubic inverse P of that table; up to
-    TABLE_PASSES exact passes then certify the roots or move them by
-    x <- x + P(log target) - P(log G_k(x)), kept in their brackets, and
-    the roots left open go to the bracketed solve, as does the whole set
-    when the table is not finite and strictly increasing. A t root at
-    which a rule of twice the nodes misses the target by more than
+    [target, target^(1/k)]. A set of m >= 2 targets of a kind other than
+    u^k first tabulates log G_k at clip(m, TABLE_FLOOR, TABLE_NODES)
+    Chebyshev points in log u over the union of the brackets, plus its
+    two ends, and starts each root at the monotone cubic inverse P of
+    that table; up to TABLE_PASSES exact passes then certify the roots or
+    move them by x <- x + P(log target) - P(log G_k(x)) within their
+    brackets. One batched bracketed solve (find_roots) takes the roots
+    left open, the whole set when the table is not finite and strictly
+    increasing, a single target and the sets of the u^k kinds. A t root
+    at which a rule of twice the nodes misses the target by more than
     T_REL_TOL relative raises ConvergenceError. At k = 1 the margins are
     uniform, G_1(u) = u, and the targets are returned as they are.
     """
@@ -836,7 +836,7 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
         return targets.copy()
     log_targets = np.log(targets)
     log_roots = np.full(targets.size, np.nan)  # NaN: left open
-    if targets.size > TABLE_NODES and not _is_power(model):
+    if targets.size > 1 and not _is_power(model):
         log_roots = _table_log_roots(model, k, log_targets)
     j = np.flatnonzero(np.isnan(log_roots))
     if j.size:

@@ -339,7 +339,7 @@ def test_simulate_study_filter(capsys):
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2", "fig4", "table2"])
+@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2", "fig4", "table2", "fig1-rho0.75-k3"])
 def test_simulate_study_output_matches_golden(capsys, study):
     # the determinism contract: a canned study's CSV never changes by a byte
     # unless its decisions or streams change on purpose

@@ -25,7 +25,7 @@ from kfwer import (
     score_bands,
 )
 from kfwer import models
-from kfwer.models import BLOCK, ROOT_TOL, TABLE_NODES, cutoffs, decide
+from kfwer.models import BLOCK, ROOT_TOL, TABLE_FLOOR, TABLE_NODES, cutoffs, decide
 from kfwer.numerics import find_roots
 
 
@@ -137,7 +137,7 @@ def test_gk_quantile_independent_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# G_k inversion of large sets from a table
+# G_k inversion of constant sets from a table
 
 
 def _simes_targets(n, k, alpha=0.05):
@@ -145,7 +145,7 @@ def _simes_targets(n, k, alpha=0.05):
 
 
 def _bracketed(model, k, targets):
-    """The roots of one batched bracketed solve, which small sets take."""
+    """The roots of one batched bracketed solve, which a single target takes."""
     log_t = np.log(targets)
     return np.exp(find_roots(lambda x, j: log_gk(model, k, np.exp(x)) - log_t[j],
                              log_t, log_t / k, ROOT_TOL))
@@ -155,6 +155,13 @@ TABLE_CASES = [  # (model, k, number of targets)
     (equicorrelated_normal(0.3), 2, 199),
     (factor_normal((0.5,) * 100 + (0.8,) * 100), 3, 198),
     (equicorrelated_t(0.25, 5), 2, TABLE_NODES + 1),
+]
+SMALL_TABLE_CASES = [  # sets of at most TABLE_NODES targets, tables sized to the set
+    (equicorrelated_normal(0.3), 2, 9),
+    (equicorrelated_normal(0.85), 2, 19),
+    (factor_normal((0.5,) * 20 + (0.8,) * 20), 2, 39),
+    (equicorrelated_t(0.25, 5), 2, 9),
+    (equicorrelated_normal(0.3), 2, 2),
 ]
 
 
@@ -170,24 +177,28 @@ def _logged_log_gk(monkeypatch):
     return sizes
 
 
-def test_sets_up_to_table_nodes_keep_the_bracketed_solve(monkeypatch):
-    model, targets = equicorrelated_normal(0.3), _simes_targets(TABLE_NODES + 1, 2)
-    assert targets.size == TABLE_NODES
+@pytest.mark.parametrize("model", [equicorrelated_normal(0.3), equicorrelated_t(0.25, 5)],
+                         ids=lambda m: m.describe())
+def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
+    targets = _simes_targets(10, 2)[4:5]
     want = _bracketed(model, 2, targets)
     sizes = _logged_log_gk(monkeypatch)
     assert np.array_equal(gk_quantiles(model, 2, targets), want)
-    assert sizes[0] == TABLE_NODES  # no table
+    assert gk_quantile(model, 2, float(targets[0])) == want[0]
+    assert set(sizes) == {1}  # no table
 
 
-@pytest.mark.parametrize("model, k, size", TABLE_CASES,
+@pytest.mark.parametrize("model, k, size", TABLE_CASES + SMALL_TABLE_CASES,
                          ids=lambda v: v.describe() if isinstance(v, models.NullModel) else None)
 def test_table_roots_are_certified_and_near_the_bracketed_roots(monkeypatch, model, k, size):
     targets = _simes_targets(size + k - 1, k)
+    assert targets.size == size
     want = _bracketed(model, k, targets)
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, k, targets)
     monkeypatch.undo()
-    assert sizes[0] == TABLE_NODES + 2  # the table, then the exact passes
+    # the table, sized to the set, then the exact passes
+    assert sizes[0] == min(max(size, TABLE_FLOOR), TABLE_NODES) + 2
     assert len(sizes) <= 4
     assert np.all(np.abs(log_gk(model, k, got) - np.log(targets)) <= ROOT_TOL)
     assert np.all(np.abs(got / want - 1.0) <= 1e-9)
@@ -199,11 +210,12 @@ def test_no_exact_pass_falls_back_to_the_bracketed_solve(monkeypatch):
     assert np.array_equal(gk_quantiles(model, 3, targets), _bracketed(model, 3, targets))
 
 
-@pytest.mark.parametrize("call", [0, 1], ids=["table", "first pass"])
-def test_a_nan_log_gk_is_never_a_root(monkeypatch, call):
+@pytest.mark.parametrize("call, n", [(0, 200), (1, 200), (0, 20), (1, 20)],
+                         ids=["table", "first pass", "table, small set", "first pass, small set"])
+def test_a_nan_log_gk_is_never_a_root(monkeypatch, call, n):
     # a NaN in the table sends the whole set to the bracketed solve; a NaN
     # residual in a pass keeps its root open until that solve certifies it
-    model, targets = equicorrelated_normal(0.3), _simes_targets(200, 2)
+    model, targets = equicorrelated_normal(0.3), _simes_targets(n, 2)
     calls, exact = [], models.log_gk
 
     def poisoned(m, k, u):

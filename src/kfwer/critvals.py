@@ -75,18 +75,18 @@ def _package(procedure, n, k, alpha, model, values) -> CriticalValueSet:
     # the targets rise strictly in i, so exact constants rise too; ties are
     # legal, since the decision kernels need only nondecreasing padded constants
     vals = np.asarray(values, dtype=float)
+    values = tuple(vals.tolist())  # plain floats, also in the messages
     drops = np.flatnonzero(vals[1:] < vals[:-1])
     if drops.size:
         i = k + 1 + int(drops[0])
         raise ConvergenceError(
-            f"critical values decrease at i={i}: alpha_{i}={vals[i - k]!r} "
-            f"< alpha_{i - 1}={vals[i - k - 1]!r}"
+            f"critical values decrease at i={i}: alpha_{i}={values[i - k]!r} "
+            f"< alpha_{i - 1}={values[i - k - 1]!r}"
         )
-    if not (vals[0] > 0.0 and vals[-1] < 1.0):
+    if not (values[0] > 0.0 and values[-1] < 1.0):
         raise ConfigurationError(
-            f"critical values escaped (0, 1): alpha_k={vals[0]!r}, alpha_n={vals[-1]!r}"
+            f"critical values escaped (0, 1): alpha_k={values[0]!r}, alpha_n={values[-1]!r}"
         )
-    values = tuple(vals.tolist())
     return CriticalValueSet(
         procedure=procedure,
         n=n,

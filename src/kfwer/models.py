@@ -12,21 +12,22 @@ equicorrelated_normal
     the conditional CDF against the factor.
 factor_normal
     loadings lambda_i give correlations lambda_i*lambda_j; size-k subsets
-    no longer share one G_k, so the subset average G~_k is used.
+    no longer share one G_k, so the subset average G~_k is used: one
+    integral of the mean over size-k subsets, built by a recursion over
+    the distinct loadings and certified by doubling its nodes.
 equicorrelated_t
     the equicorrelated normal divided by a shared chi scale; G_k by a
     fixed two-dimensional quadrature over the normal factor and the
     scale, every value checked against a rule of twice the nodes.
 
 Every kind is analytic: each constant meets G_k(u) = target to a stated
-relative accuracy.
+relative accuracy, or ConvergenceError is raised.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import (
@@ -510,11 +511,19 @@ def _decide_sorted(rows, few, cut):
 # Gauss-Legendre nodes on each side of the mode of the one-factor log
 # integrand, and the fall of that log integrand at which each side is cut.
 # Against adaptive quadrature the worst relative error of G_k over
-# rho <= 0.99, k <= 10^4 and 1e-300 <= u <= 0.9 is 2e-10. Factor loadings
-# whose products lam_i lam_j pass 0.99 sharpen the integrand past what
-# NODES resolve: 6e-9 at loadings of 0.999, 1e-5 at 0.9999.
+# rho <= 0.99, k <= 10^4 and 1e-300 <= u <= 0.9 is 2e-10.
 NODES = 48
 _DROP = 40.0
+# The factor model's subset mean is certified instead: from SUBSET_NODES
+# nodes, doubled per point until two rules agree to SUBSET_TOL in log, up
+# to MAX_SUBSET_NODES nodes and _SUBSET_FLOATS floats of recursion per
+# point; the recursion runs on about _SUBSET_CHUNK floats at a time, on
+# p_g / max p scaled exactly by 2^(_SUBSET_EXP // k), so no k-product
+# passes 2^_SUBSET_EXP < the largest float and that much more room lies
+# above 0.
+SUBSET_NODES, SUBSET_TOL = 96, 1e-11
+MAX_SUBSET_NODES, _SUBSET_FLOATS, _SUBSET_CHUNK = 1 << 13, 1 << 21, 1 << 16
+_SUBSET_EXP = 1000
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
 # gk_quantiles tables log G_k at clip(m, TABLE_FLOOR, TABLE_NODES) points for
@@ -530,29 +539,34 @@ def _validate_k(k):
     return int(k)
 
 
+def _check_bounds(log_g, k: int, u, tol: float, where: str) -> None:
+    """Raise ConvergenceError where log G_k(u) lies more than tol outside
+    [k log u, log u], the bounds positive dependence gives every kind."""
+    log_u = np.log(u)
+    bad = np.flatnonzero(~((log_g >= k * log_u - tol) & (log_g <= log_u + tol)))
+    if bad.size:
+        raise ConvergenceError(f"{where}, k={k}, u={float(u[bad[0]])!r}: log G_k(u) is "
+                               f"{float(log_g[bad[0]])!r}, outside [k log u, log u]")
+
+
 # Gauss-Legendre nodes and weights on [-1, 1], solved once per node count
 _legendre = lru_cache(maxsize=None)(roots_legendre)
 
 
-@lru_cache(maxsize=1)
-def _legendre_unit():
-    nodes, weights = _legendre(NODES)
-    return 0.5 * (nodes + 1.0), np.log(0.5 * weights)
+@lru_cache(maxsize=None)
+def _legendre_unit(nodes: int):
+    x, weights = _legendre(nodes)
+    return 0.5 * (x + 1.0), np.log(0.5 * weights)
 
 
-def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log E_Y[prod_j Phi((lam_j Y - t) / sqrt(1 - lam_j^2))^mult_j] for each t.
-
-    The log integrand h(y) = sum_j mult_j log Phi(a_j y - b_j) - y^2/2 is
-    strictly concave with h'' <= -1. Newton finds its mode y*. Each side
-    of the mode is cut at the distance d where h has fallen by _DROP
-    (found by Newton from inside sqrt(2 _DROP), which h'' <= -1 makes a
-    bound) and integrated by NODES-point Gauss-Legendre. Terms are summed
-    by logsumexp, so the relative accuracy holds however small G_k is.
+def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
+    """The mode y* of h(y) = sum_j mult_j log Phi(a_j y - b_j) - y^2/2, per
+    row of b, and the distances (d-, d+) from y* at which h has fallen by
+    _DROP. h is strictly concave with h'' <= -1: Newton finds y*, then each
+    cut from inside sqrt(2 _DROP), which h'' <= -1 makes a bound. A row
+    stops moving once its own step is small, so it takes the steps it would
+    take alone, whatever rows are evaluated beside it.
     """
-    s = np.sqrt(1.0 - np.square(lam))
-    a = lam / s
-    b = t[:, None] / s
 
     def derivatives(y, second=True):
         x = a * y[:, None] - b
@@ -563,73 +577,130 @@ def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndar
             return h, d1
         return h, d1, -(a * a * mills * (x + mills)) @ mult - 1.0
 
-    y = np.zeros(t.size)
+    y, done = np.zeros(b.shape[0]), np.zeros(b.shape[0], dtype=bool)
     for _ in range(200):
         _, d1, d2 = derivatives(y)
-        step = np.clip(d1 / -d2, -4.0, 4.0)
+        step = np.where(done, 0.0, np.clip(d1 / -d2, -4.0, 4.0))
         y += step
-        if np.all(np.abs(step) <= 1e-10 * (1.0 + np.abs(y))):
+        done |= np.abs(step) <= 1e-10 * (1.0 + np.abs(y))
+        if done.all():
             break
     else:
         raise ConvergenceError("mode of the one-factor integrand not found in 200 Newton steps")
     peak, _, d2 = derivatives(y)
-    nodes, log_weights = _legendre_unit()
-    sides = []
+    cuts = []
     for sign in (-1.0, 1.0):
         # h - peak + _DROP is concave in d: Newton from either side of its
         # root lands right of it, then falls monotonically onto it
         d = np.minimum(np.sqrt(2.0 * _DROP / -d2), math.sqrt(2.0 * _DROP))
+        done[:] = False
         for _ in range(100):
             h, d1 = derivatives(y + sign * d, second=False)
-            step = (h - peak + _DROP) / (sign * d1)
+            step = np.where(done, 0.0, (h - peak + _DROP) / (sign * d1))
             d = np.minimum(d - step, math.sqrt(2.0 * _DROP))
-            if np.all(np.abs(step) <= 1e-3 * d):
+            done |= np.abs(step) <= 1e-3 * d
+            if done.all():
                 break
+        cuts.append(d)
+    return y, cuts
+
+
+def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log E_Y[prod_j Phi((lam_j Y - t) / sqrt(1 - lam_j^2))^mult_j] for each t:
+    each side of the mode of the log integrand, out to its cut
+    (_mode_and_cuts), by NODES-point Gauss-Legendre summed by logsumexp, so
+    the relative accuracy holds however small G_k is."""
+    s = np.sqrt(1.0 - np.square(lam))
+    a = lam / s
+    b = t[:, None] / s
+    y, cuts = _mode_and_cuts(a, b, mult)
+    nodes, log_weights = _legendre_unit(NODES)
+    sides = []
+    for sign, d in zip((-1.0, 1.0), cuts):
         yy = y[:, None] + sign * d[:, None] * nodes
         h = log_ndtr(a * yy[..., None] - b[:, None, :]) @ mult - 0.5 * yy * yy
         sides.append(np.log(d) + logsumexp(log_weights + h, axis=1))
     return np.logaddexp(*sides) - _LOG_SQRT_2PI
 
 
-def _compositions(caps, k: int):
-    """Tuples p with 0 <= p_j <= caps_j summing to k <= sum(caps), in the
-    lexicographic order of itertools.product, each made from the last."""
-    picks, rest, stop = [0] * len(caps), k, 0
-    while True:
-        for j in range(len(caps) - 1, stop - 1, -1):  # the first tail: rest pushed right
-            picks[j] = min(caps[j], rest)
-            rest -= picks[j]
-        yield tuple(picks)
-        # the next tuple raises the rightmost part that can grow with some of k to its right
-        tail = picks[-1]
-        for stop in range(len(caps) - 2, -1, -1):
-            if tail and picks[stop] < caps[stop]:
-                break
-            tail += picks[stop]
-        else:
-            return
-        picks[stop] += 1
-        rest, stop = tail - 1, stop + 1
-
-
-@lru_cache(maxsize=None)
-def _composition_classes(loadings: tuple, k: int):
-    """Group size-k subsets by the multiset of loading values they draw.
-
-    Returns (log weight, values, multiplicities) triples, the log weights
-    normalized by log C(n, k): averaging costs one integral per class
-    instead of one per subset.
+def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> np.ndarray:
+    """log of the mean over size-k subsets S of E_Y[prod_{j in S} p_j(Y)],
+    p_g(y) = Phi((lam_g y - t) / sqrt(1 - lam_g^2)), t = -Phi^-1(u), for
+    distinct loadings lam_g held counts[g] times. At each node the mean
+    over m-subsets, m <= k, is built group by group with hypergeometric
+    weights (Chen, Dempster and Liu, Biometrika 81, 1994), from each p_g
+    over the largest, so every term is positive and bounded (see
+    _SUBSET_EXP). Gauss-Legendre covers
+    the hull of the windows of p_g^k phi and is certified as the
+    SUBSET_NODES comment says, or raises ConvergenceError.
     """
-    values, counts = np.unique(loadings, return_counts=True)
-    classes = []
-    for picks in _compositions(np.minimum(counts, k).tolist(), k):
-        weight = math.prod(comb(c, j) for c, j in zip(counts, picks))
-        picks = np.array(picks, dtype=float)
-        classes.append((weight, values[picks > 0], picks[picks > 0]))
-    total = sum(w for w, _, _ in classes)
-    if total != comb(len(loadings), k):
-        raise ConfigurationError("composition class weights failed the counting check")
-    return tuple((math.log(w) - math.log(total), v, m) for w, v, m in classes)
+    s = np.sqrt(1.0 - np.square(lam))
+    a, b = lam / s, -ndtri(u)[:, None] / s
+    y, (left, right) = _mode_and_cuts(
+        np.tile(a, u.size)[:, None], b.reshape(-1, 1), np.array([float(k)]))
+    lo, hi = (y - left).reshape(b.shape).min(axis=1), (y + right).reshape(b.shape).max(axis=1)
+    # per group, (j, m0, w): w[i] = C(c, j) C(seen, m - j) / C(seen + c, m),
+    # the weight of p_g^j in the mean over m = m0 + i subsets, with C(seen,
+    # m - j) > 0; the last group makes only m = k
+    steps, seen = [[] for _ in counts], 0
+    for g, c in enumerate(counts):
+        for j in range(min(c, k) + 1):
+            m0 = k if g == len(counts) - 1 else j
+            w = [math.comb(c, j) * math.comb(seen, m - j) / math.comb(seen + c, m)
+                 for m in range(m0, min(k, seen + j) + 1)]
+            if w:
+                steps[g].append((j, m0, np.array(w)[:, None, None]))
+        seen += c
+    scale = _SUBSET_EXP // k  # q_g = 2^scale p_g / max p, exactly
+
+    def rule(rows, nodes):
+        x, log_weights = _legendre_unit(nodes)
+        out = np.empty(rows.size)
+        step = max(1, _SUBSET_CHUNK // ((k + 1) * nodes))  # points per pass
+        for start in range(0, rows.size, step):
+            part = rows[start : start + step]
+            yy = lo[part, None] + (hi - lo)[part, None] * x
+
+            def arg(g):  # p_g = Phi(arg(g)), made one group at a time
+                return a[g] * yy - b[part, g, None]
+
+            log_top = log_ndtr(reduce(np.maximum, map(arg, range(a.size))))  # the largest p_g
+            mean = np.zeros((k + 1,) + yy.shape)
+            mean[0] = 1.0
+            new, term = np.empty_like(mean), np.empty_like(mean)
+            for g, group in enumerate(steps):
+                q = np.ldexp(np.exp(log_ndtr(arg(g)) - log_top), scale)
+                new.fill(0.0)
+                power = None
+                for j, m0, w in group:  # consecutive j
+                    power = q**j if power is None else np.multiply(power, q, out=power)
+                    np.multiply(mean[m0 - j : m0 - j + w.size], power, out=term[: w.size])
+                    term[: w.size] *= w
+                    new[m0 : m0 + w.size] += term[: w.size]
+                mean, new = new, mean
+            fraction, exponent = np.frexp(mean[k])  # log of the mean without 2^(k scale)
+            with np.errstate(divide="ignore"):  # a mean of 0 adds nothing
+                h = np.log(fraction) + (exponent - k * scale) * math.log(2.0)
+            h += k * log_top - 0.5 * yy * yy
+            out[start : start + step] = np.log(hi - lo)[part] + logsumexp(log_weights + h, axis=1)
+        return out - _LOG_SQRT_2PI
+
+    cap = min(MAX_SUBSET_NODES, _SUBSET_FLOATS // (k + 1))
+    out, rows, nodes = np.empty(u.size), np.arange(u.size), SUBSET_NODES
+    last = rule(rows, nodes)
+    while rows.size:
+        nodes *= 2
+        if nodes > cap:
+            raise ConvergenceError(
+                f"G_{k} of the factor model at u={float(u[rows[0]])!r} is not settled to "
+                f"{SUBSET_TOL:g} in log by {nodes // 2} nodes, the most allowed at k={k}")
+        value = rule(rows, nodes)
+        with np.errstate(invalid="ignore"):  # -inf twice settles, to fail the bounds below
+            done = ~(np.abs(value - last) > SUBSET_TOL)
+        out[rows[done]] = value[done]
+        rows, last = rows[~done], value[~done]
+    _check_bounds(out, k, u, SUBSET_TOL, "factor model")
+    return out
 
 
 # Nodes per axis of the equicorrelated t rule. It is not uniformly
@@ -696,17 +767,8 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray
         peak = np.maximum(terms.max(axis=1), np.finfo(float).min)  # -inf stays -inf
         with np.errstate(divide="ignore"):  # a sum of 0 is caught below
             out[part] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
-    # u^k <= G_k(u) <= u: a value outside, beyond T_REL_TOL, is no estimate
-    log_u = np.log(flat)
-    bad = np.flatnonzero(~((out >= k * log_u - T_REL_TOL) & (out <= log_u + T_REL_TOL)))
-    if bad.size:
-        j = int(bad[0])
-        raise ConvergenceError(
-            f"model {model.describe()}: log G_k(u) on the {nodes}-node t rule is "
-            f"{float(out[j])!r}, outside [k log u, log u], at dof={model.dof}, "
-            f"rho={model.rho!r}, k={k}, u={float(flat[j])!r}; the t quadrature cannot "
-            "resolve this u"
-        )
+    _check_bounds(out, k, flat, T_REL_TOL, f"model {model.describe()} on the {nodes}-node "
+                  f"t rule, which cannot resolve this u, at dof={model.dof}, rho={model.rho!r}")
     return out.reshape(u.shape)
 
 
@@ -734,11 +796,12 @@ def _is_power(model: NullModel) -> bool:
 def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     """log G_k(u) for a vector of u in (0, 1), for every model kind.
 
-    Independent models (and rho = 0) give k log u. The one-factor normal
-    kinds sum _log_one_factor over composition classes by logsumexp: the
-    equicorrelated model is one class, the factor model averages over
-    all size-k subsets. The t kind is _log_gk_t on T_NODES nodes, not
-    checked here; gk_evaluate and gk_quantiles check what they return.
+    Independent models (and rho = 0) give k log u. The equicorrelated
+    normal is _log_one_factor with one loading sqrt(rho) taken k times;
+    the factor model averages over all size-k subsets by _log_subset_mean,
+    which certifies its own values. The t kind is _log_gk_t on T_NODES
+    nodes, not checked here; gk_evaluate and gk_quantiles check what they
+    return.
     """
     k = _validate_k(k)
     u = np.asarray(u, dtype=float)
@@ -747,14 +810,12 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     if _is_power(model):
         return k * np.log(u)
     if model.kind == "equicorrelated_normal":
-        classes = ((0.0, np.array([math.sqrt(model.rho)]), np.array([float(k)])),)
-    else:
-        n = len(model.loadings)
-        if k > n:
-            raise ConfigurationError(f"k={k} exceeds the number of loadings n={n}")
-        classes = _composition_classes(model.loadings, k)
-    t = -ndtri(u)
-    return logsumexp(np.array([w + _log_one_factor(lam, mult, t) for w, lam, mult in classes]), axis=0)
+        return _log_one_factor(np.array([math.sqrt(model.rho)]), np.array([float(k)]), -ndtri(u))
+    n = len(model.loadings)
+    if k > n:
+        raise ConfigurationError(f"k={k} exceeds the number of loadings n={n}")
+    lam, counts = np.unique(model.loadings, return_counts=True)
+    return _log_subset_mean(lam, tuple(counts.tolist()), k, u)
 
 
 def gk_evaluate(model: NullModel, k: int, u: float) -> float:

@@ -208,6 +208,19 @@ def test_decreasing_constants_raise_instead_of_being_patched(monkeypatch):
         gen_simes_critvals(8, 2, 0.0421, equicorrelated_normal(0.37))
 
 
+@pytest.mark.parametrize("values,alpha,error,match", [
+    ([0.01, 0.02, 0.005], 0.0423, ConvergenceError, r"alpha_4=0\.005 < alpha_3=0\.02$"),
+    ([0.0, 0.01, 0.02], 0.0424, ConfigurationError, r"alpha_k=0\.0, alpha_n=0\.02$"),
+], ids=["decreasing", "zero"])
+def test_package_messages_print_plain_floats(monkeypatch, values, alpha, error, match):
+    # solved sets are cached by their arguments, so each case has its own alpha
+    monkeypatch.setattr("kfwer.critvals.gk_quantiles",
+                        lambda model, k, targets: np.array(values))
+    with pytest.raises(error, match=match) as caught:
+        gen_simes_critvals(4, 2, alpha, equicorrelated_normal(0.37))
+    assert "np.float64" not in str(caught.value)
+
+
 def test_tied_constants_stay_legal(monkeypatch):
     # the decision kernels need only nondecreasing padded constants
     monkeypatch.setattr("kfwer.critvals.gk_quantiles",

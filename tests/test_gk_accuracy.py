@@ -27,6 +27,7 @@ from kfwer import (
     gen_hochberg_critvals,
     gen_simes_critvals,
     gk_quantiles,
+    log_gk,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -61,7 +62,8 @@ def _log_class_quad(lams, mults, t):
 
 
 def _log_gk_quad(loadings, k, u):
-    """log of the subset-averaged G_k(u), one quadrature per composition class."""
+    """log of the subset-averaged G_k(u), one quadrature per class of
+    subsets that draw the same multiset of loadings."""
     values = sorted(set(loadings))
     counts = [loadings.count(v) for v in values]
     terms = []
@@ -87,6 +89,11 @@ CASES = [
     ("hochberg", 100, 10, "factor", (0.6, 0.95)),
     # pairwise correlations up to 0.998, past the equicorrelated range
     ("hochberg", 100, 10, "factor", (0.6, 0.999)),
+    # pairwise correlations of 0.99998, where a fixed 48-node split at the
+    # mode was 1.5e-5 off
+    ("simes", 20, 2, "factor", (0.99999, 0.99999)),
+    # far-apart group modes, where 96 nodes over their hull miss by 1.3e-4
+    ("hochberg", 40, 5, "factor", (0.1, 0.95)),
 ]
 
 
@@ -107,6 +114,20 @@ def test_constants_meet_their_targets_to_relative_accuracy(family, n, k, kind, p
             target = alpha / math.comb(n + k - i, k)
         log_g = _log_gk_quad(loadings, k, cset.value_at(i))
         assert abs(math.expm1(log_g - math.log(target))) <= 1e-6, (i, cset.value_at(i), target)
+
+
+@pytest.mark.parametrize("loadings,k", [
+    ((0.01, 0.5, 0.999), 3),
+    ((0.01, 0.3, 0.6, 0.999), 4),
+    ((0.05, 0.99) * 2, 2),
+], ids=lambda v: str(v))
+def test_factor_values_at_tiny_u_match_nested_quad(loadings, k):
+    # far-apart loadings at u = 1e-300: the ratios p_g / max p of one subset
+    # span more than the float range, which the factor rule must still carry
+    u = np.array([1e-300, 1e-100, 1e-20])
+    got = log_gk(factor_normal(loadings), k, u)
+    for g, x in zip(got, u):
+        assert abs(math.expm1(g - _log_gk_quad(list(loadings), k, x))) <= 1e-10, x
 
 
 def _log_gk_t_quad(rho, dof, k, u):

@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -277,18 +277,6 @@ def test_factor_averaged_matches_brute_force_mc():
     assert abs(est - want) < 4 * se
 
 
-def test_compositions_follow_product_order():
-    # the composition classes are summed by logsumexp in this order, so it
-    # must stay the order of the filtered product it replaced
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        # each cap is min(count, k) >= 1 of a model's loading value, and they reach k
-        caps = [int(c) for c in rng.integers(1, 4, int(rng.integers(1, 6)))]
-        k = int(rng.integers(1, sum(caps) + 1))
-        want = [p for p in product(*(range(c + 1) for c in caps)) if sum(p) == k]
-        assert list(models._compositions(caps, k)) == want, (caps, k)
-
-
 def test_factor_many_distinct_loadings_match_subset_mean():
     # 40 distinct loadings: 780 classes at k = 2, where the filtered product
     # over the loading values walked 2^40 tuples
@@ -297,6 +285,53 @@ def test_factor_many_distinct_loadings_match_subset_mean():
     for u in (1e-6, 1e-3, 0.05):
         want = np.mean([gk_factor_subset(fm, pair, u) for pair in pairs])
         assert gk_evaluate(fm, 2, u) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_factor_distinct_loadings_at_k3_match_subset_mean():
+    # 12 distinct loadings at k = 3: the recursion's middle groups carry
+    # every m <= k, checked against the mean of all 220 subsets
+    fm = factor_normal(np.linspace(0.15, 0.85, 12))
+    triples = list(combinations(range(1, 13), 3))
+    for u in (1e-8, 1e-3, 0.1):
+        want = np.mean([gk_factor_subset(fm, triple, u) for triple in triples])
+        assert gk_evaluate(fm, 3, u) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_factor_rule_past_its_cap_raises(monkeypatch):
+    # loadings of 0.9999 settle only on 768 nodes; with the rule capped at
+    # 384 no value may be returned, while a set that settles on 192 keeps
+    # its bits
+    near_one, two_block = factor_normal((0.9999,) * 10), factor_normal((0.3,) * 5 + (0.7,) * 5)
+    u = np.array([1e-6, 1e-3])
+    assert np.all(np.isfinite(models.log_gk(near_one, 2, u)))
+    want = models.log_gk(two_block, 2, u)
+    monkeypatch.setattr(models, "MAX_SUBSET_NODES", 384)
+    with pytest.raises(ConvergenceError, match="not settled to 1e-11 in log by 384 nodes"):
+        models.log_gk(near_one, 2, u)
+    assert np.array_equal(models.log_gk(two_block, 2, u), want)
+
+
+def test_factor_value_that_underflows_raises_convergence_error(monkeypatch):
+    # with p_g / max p in [0, 1] and no headroom above 1, the one 4-subset's
+    # product underflows at every node at u = 1e-300, so log G_4 reads -inf
+    # on both rules: a refusal, not a value or numpy warnings
+    monkeypatch.setattr(models, "_SUBSET_EXP", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"k=4, u=1e-300: log G_k\(u\) is -inf"):
+            models.log_gk(factor_normal((0.01, 0.3, 0.6, 0.999)), 4, np.array([1e-300]))
+
+
+@pytest.mark.parametrize("model,k", [
+    (equicorrelated_normal(0.3), 100),
+    (equicorrelated_normal(0.9), 10),
+    (factor_normal((0.25,) * 20 + (0.75,) * 20), 2),
+], ids=["equicorr0.3-k100", "equicorr0.9-k10", "two-block"])
+def test_log_gk_of_a_point_does_not_depend_on_its_batch(model, k):
+    u = np.geomspace(1e-200, 0.5, 100)
+    batch = models.log_gk(model, k, u)
+    alone = np.array([models.log_gk(model, k, u[i : i + 1])[0] for i in range(u.size)])
+    assert np.array_equal(batch, alone)
 
 
 # ---------------------------------------------------------------------------

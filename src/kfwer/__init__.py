@@ -56,6 +56,7 @@ from .models import (
     parse_model,
     pmap,
     score_bands,
+    score_model,
 )
 from .numerics import find_roots
 from .procedures import (
@@ -87,7 +88,7 @@ __all__ = [
     "find_roots",
     "NullModel", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
-    "draw_scores", "pmap", "score_bands",
+    "draw_scores", "pmap", "score_model", "score_bands",
     "gk_evaluate", "gk_quantile", "gk_quantiles", "log_gk",
     "gk_factor_subset",
     "PROCEDURES", "CLASSIC_PROCEDURES", "CriticalValueSet",

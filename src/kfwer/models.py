@@ -57,6 +57,7 @@ __all__ = [
     "score_chunks",
     "checked_pvalues",
     "pmap",
+    "score_model",
     "score_bands",
     "cutoffs",
     "decide",
@@ -245,10 +246,11 @@ def _fill_scores(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: 
     """Fill out (BLOCK rows) with the scores of one block's stream, in the
     order draw_scores documents."""
     if model.kind == "independent":
-        g.random(out=out)
-        shifted = mu != 0.0
-        if shifted.any():
-            out[:, shifted] = ndtr(ndtri(out[:, shifted]) - mu[shifted])
+        if mu.any():
+            g.standard_normal(out=out)
+            out -= mu
+        else:
+            g.random(out=out)
         return
     normals = g.standard_normal((BLOCK, mu.size + 1))
     lam = np.asarray(model.loadings[: mu.size]) if model.kind == "factor_normal" else math.sqrt(model.rho)
@@ -265,16 +267,16 @@ def _fill_scores(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: 
 def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
     """Scores of replications start..stop-1, one row each, len(mu) columns.
 
-    A score s is a monotone statistic of its p-value: p = pmap(model, s),
-    nondecreasing in s. Block b = row // BLOCK draws from
+    A score s is a monotone statistic of its p-value: p =
+    pmap(score_model(model, mu), s), nondecreasing in s. Block b = row // BLOCK draws from
     substream(stream_word(seed, salt), b); start and stop must be multiples
-    of BLOCK. Per block, by model kind: independent draws BLOCK x n
-    uniforms as the null p-values, a column with mu_j != 0 becomes
-    ndtr(ndtri(p) - mu_j), and the score is the p-value itself; the normal
-    kinds draw BLOCK x (n+1) standard normals, row-major with the common
-    factor first, form x, add mu and score s = -x; the t kind draws the
-    same normals, then BLOCK chi-squares, scales x, adds mu and scores
-    s = -x.
+    of BLOCK. Per block, by model kind: independent with mu = 0 draws
+    BLOCK x n uniforms, and the score is that null p-value itself;
+    independent with any mu_j != 0 draws BLOCK x n standard normals z,
+    row-major, and scores s = z - mu; the normal kinds draw BLOCK x (n+1)
+    standard normals, row-major with the common factor first, form x, add
+    mu and score s = -x; the t kind draws the same normals, then BLOCK
+    chi-squares, scales x, adds mu and scores s = -x.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 1 or mu.size < 1:
@@ -301,10 +303,21 @@ def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: in
     return out
 
 
+def score_model(model: NullModel, mu) -> NullModel:
+    """The model whose p-map reads draw_scores(model, mu, ...): the rho = 0
+    equicorrelated normal for an independent model with any mu_j != 0,
+    whose scores are normal, and the model itself otherwise."""
+    if model.kind == "independent" and np.any(mu):
+        return equicorrelated_normal(0.0)
+    return model
+
+
 def pmap(model: NullModel, scores: np.ndarray) -> np.ndarray:
     """Map a model's scores to p-values in place and return the array:
     ndtr(s) for the normal kinds, stdtr(dof, s) for the t kind, and the
-    identity for the independent kind, whose scores are p-values."""
+    identity for the independent kind, whose null-only scores are
+    p-values. The scores of draw_scores(model, mu, ...) are read by
+    pmap(score_model(model, mu), .)."""
     if model.kind == "equicorrelated_t":
         stdtr(model.dof, scores, out=scores)
     elif model.kind != "independent":
@@ -313,12 +326,14 @@ def pmap(model: NullModel, scores: np.ndarray) -> np.ndarray:
 
 
 def draw(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
-    """P-values of replications start..stop-1: pmap applied to draw_scores.
+    """P-values of replications start..stop-1: the p-map of
+    score_model(model, mu) applied to draw_scores.
 
     So p = ndtr(-x) for the normal kinds, p = stdtr(dof, -x) for the t
-    kind, and the uniforms (shifted columns included) for independent.
+    kind, and for independent the uniforms when mu = 0, else ndtr(z - mu).
     """
-    return pmap(model, draw_scores(model, mu, start, stop, seed, salt))
+    scores = draw_scores(model, mu, start, stop, seed, salt)
+    return pmap(score_model(model, mu), scores)
 
 
 def chunk_rows(n: int) -> int:

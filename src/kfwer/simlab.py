@@ -13,10 +13,12 @@ multiple of BLOCK uses the leading rows of its last block.
 
 Draw order per block, fixed by contract (see models.draw_scores): a
 sample is a row of scores s, and its p-values are the p-map of the
-scores, P(s) = models.pmap(model, s).
-  independent        BLOCK x n uniforms are the null p-values; a column
-                     with mean mu_j != 0 becomes ndtr(ndtri(p) - mu_j);
-                     s = p, and P is the identity
+scores, P(s) = models.pmap(models.score_model(model, mu), s).
+  independent        mu = 0: BLOCK x n uniforms are the null p-values;
+                     s = p, and P is the identity. Any mu_j != 0: BLOCK
+                     x n standard normals z, row-major; s = z - mu and
+                     P(s) = ndtr(s), the p-map of the rho = 0
+                     equicorrelated model (models.score_model)
   equicorr / factor  BLOCK x (n+1) standard normals, row-major, common
                      factor first, form x; means added, then s = -x and
                      P(s) = ndtr(s)
@@ -53,7 +55,7 @@ import numpy as np
 
 from .critvals import critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, as_float, as_floats, as_int
-from .models import NullModel, cutoffs, decide, parse_model, score_chunks
+from .models import NullModel, cutoffs, decide, parse_model, score_chunks, score_model
 
 __all__ = [
     "METRICS",
@@ -226,14 +228,15 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     columns to compare when n1 = 0 or n1 = n.
     """
     n, k, reps = cfg.n, cfg.k, cfg.reps
+    mean = cfg.mean_vector()
+    scored = score_model(cfg.model, mean)
     cuts = []
     for proc in cfg.procedures:
         cset = _constants_for(proc, cfg)
         rule = rule_for(proc)
         c = cset.value_at(cfg.k) if rule == "single" else tuple(cset.padded)
-        cuts.append(cutoffs(cfg.model, rule, c))
+        cuts.append(cutoffs(scored, rule, c))
 
-    mean = cfg.mean_vector()
     true_mask = mean == 0.0
     n1 = int(np.count_nonzero(~true_mask))
     few_true = 2 * n1 > n

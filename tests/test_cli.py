@@ -306,13 +306,15 @@ def test_simulate_output_independent_of_thread_count(tmp_path, capsys, monkeypat
     doc = {
         "schema_version": 1,
         "configs": [
-            {k: v for k, v in config_doc(name=f"c{i}", seed=20 + i, model=model).items()
+            {k: v for k, v in config_doc(name=f"c{i}", seed=20 + i, **extra).items()
              if k != "schema_version"}
-            for i, model in enumerate((
-                {"kind": "independent"},
-                {"kind": "equicorr", "rho": 0.5},
-                {"kind": "factor", "loadings": [0.3, 0.5, 0.7, 0.9]},
-                {"kind": "t", "rho": 0.25, "dof": 5},
+            for i, extra in enumerate((
+                {"model": {"kind": "independent"}},
+                {"model": {"kind": "equicorr", "rho": 0.5}},
+                {"model": {"kind": "factor", "loadings": [0.3, 0.5, 0.7, 0.9]}},
+                {"model": {"kind": "t", "rho": 0.25, "dof": 5}},
+                # normal scores, over more than one block
+                {"model": {"kind": "independent"}, "n1": 2, "reps": 2500},
             ))
         ],
     }
@@ -339,7 +341,8 @@ def test_simulate_study_filter(capsys):
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2", "fig4", "table2", "fig1-rho0.75-k3"])
+@pytest.mark.parametrize("study", ["fig3", "fig2-rho0.5-k2", "fig4", "table2", "fig1-rho0.75-k3",
+                                   "fig5-k10"])
 def test_simulate_study_output_matches_golden(capsys, study):
     # the determinism contract: a canned study's CSV never changes by a byte
     # unless its decisions or streams change on purpose

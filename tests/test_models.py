@@ -23,6 +23,7 @@ from kfwer import (
     parse_model,
     pmap,
     score_bands,
+    score_model,
 )
 from kfwer import models
 from kfwer.models import BLOCK, ROOT_TOL, TABLE_FLOOR, TABLE_NODES, cutoffs, decide
@@ -413,7 +414,7 @@ def test_draw_is_the_p_map_of_the_scores(model):
     mu = np.array([0.0, 1.5, 0.0, -2.0])
     scores = draw_scores(model, mu, BLOCK, 3 * BLOCK, 8, 99)
     p = draw(model, mu, BLOCK, 3 * BLOCK, 8, 99)
-    assert np.array_equal(pmap(model, scores.copy()), p)
+    assert np.array_equal(pmap(score_model(model, mu), scores.copy()), p)
     # the p-map is nondecreasing: sorting scores sorts the p-values
     order = np.argsort(scores, axis=1, kind="stable")
     assert np.all(np.diff(np.take_along_axis(p, order, axis=1), axis=1) >= 0.0)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import binom
 
 import kfwer
 from kfwer import (
@@ -29,6 +30,7 @@ from kfwer import (
     rule_for,
     run_experiment,
     run_study,
+    score_model,
     single_step_apply,
     stepdown_apply,
     stepup_apply,
@@ -249,6 +251,25 @@ def test_run_experiment_t_model_matches_decision_reports():
         )
 
 
+def test_independent_effects_follow_their_exact_law():
+    # single-step rejects each p_j <= c independently, so the draws of an
+    # independent config with effects are checked against closed forms: a
+    # false null with mean mu is rejected with probability Phi(ndtri(c) + mu),
+    # and k or more of the n0 true nulls with probability binom.sf(k - 1, n0, c)
+    n, n1, k, mu, reps = 50, 20, 2, 1.5, 20_000
+    cfg = ExperimentConfig(n=n, k=k, alpha=0.05, model=independent(),
+                           procedures=("gen_single_step",), reps=reps, seed=2024,
+                           n1=n1, effect=mu)
+    report = run_experiment(cfg)
+    c = critical_value_set("gen_single_step", n, k, 0.05, independent()).value_at(k)
+    q = float(ndtr(ndtri(c) + mu))
+    f = float(binom.sf(k - 1, n - n1, c))
+    power = report.value("gen_single_step", "ave_power")
+    assert abs(power - q) < 4 * math.sqrt(q * (1 - q) / (n1 * reps))
+    kfwer_rate = report.value("gen_single_step", "kfwer")
+    assert abs(kfwer_rate - f) < 4 * math.sqrt(f * (1 - f) / reps)
+
+
 def test_run_experiment_reps_not_a_multiple_of_block():
     cfg = ExperimentConfig(n=5, k=2, alpha=0.2, model=equicorrelated_normal(0.25),
                            procedures=("gen_simes", "classic_holm"), reps=BLOCK + 476,
@@ -279,13 +300,19 @@ def test_run_experiment_exact_under_heavy_ties(monkeypatch, decimals, n1):
 
 
 def _check_heavy_ties(monkeypatch, model, decimals, n1):
+    cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=model,
+                           procedures=TIE_PROCEDURES, reps=1000, seed=41, n1=n1,
+                           effect=1.0)
+    mu = cfg.mean_vector()
+    scored = score_model(model, mu)  # with effects, independent scores are normal
+
     def rounded_scores(model, mu, start, stop, seed, salt):
         return np.round(draw_scores(model, mu, start, stop, seed, salt), decimals)
 
     def on_grid(p):
-        if model.kind == "independent":
+        if scored.kind == "independent":
             return np.round(p, decimals)
-        return pmap(model, np.round(ndtri(np.asarray(p)), decimals))
+        return pmap(scored, np.round(ndtri(np.asarray(p)), decimals))
 
     def rounded_constants(proc, cfg):
         cset = critical_value_set(proc, cfg.n, cfg.k, cfg.alpha, cfg.model)
@@ -297,15 +324,11 @@ def _check_heavy_ties(monkeypatch, model, decimals, n1):
 
     monkeypatch.setattr(kfwer.models, "draw_scores", rounded_scores)
     monkeypatch.setattr(kfwer.simlab, "_constants_for", rounded_constants)
-    cfg = ExperimentConfig(n=6, k=2, alpha=0.3, model=model,
-                           procedures=TIE_PROCEDURES, reps=1000, seed=41, n1=n1,
-                           effect=1.0)
     report = run_experiment(cfg)
 
-    mu = cfg.mean_vector()
     scores = rounded_scores(cfg.model, mu, 0, BLOCK, cfg.seed, SIMLAB_SALT)[: cfg.reps]
     assert len(np.unique(scores)) <= 20 * 10 ** decimals + 1
-    pvalues = pmap(model, scores.copy())
+    pvalues = pmap(scored, scores.copy())
     for proc in cfg.procedures:
         cset = rounded_constants(proc, cfg)
         assert np.isin(cset.padded, pvalues).any(), proc  # a p-value ties a constant

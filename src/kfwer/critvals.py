@@ -123,13 +123,14 @@ def _stepwise_values(family: str, n: int, k: int, alpha: float, model: NullModel
         closed_form = _closed_form_simes if family == "simes" else _closed_form_hochberg
         return tuple(closed_form(n, k, alpha, i) for i in range(k, n + 1))
     # every binomial coefficient in the targets is at most C(n, k)
-    if comb(n, k) > sys.float_info.max:
+    total = comb(n, k)
+    if total > sys.float_info.max:
         raise ScaleError(
             f"inverting G_k needs C(n, k) as a float, and C({n}, {k}) exceeds "
             f"the largest float, {sys.float_info.max:.4g}"
         )
     if family == "simes":
-        targets = [alpha * comb(i, k) / comb(n, k) for i in range(k, n + 1)]
+        targets = [alpha * comb(i, k) / total for i in range(k, n + 1)]
     else:
         targets = [alpha / comb(n + k - i, k) for i in range(k, n + 1)]
     return tuple(float(v) for v in gk_quantiles(model, k, targets))

@@ -35,7 +35,7 @@ from scipy.special import (
 )
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
-from .numerics import find_roots, logsumexp, monotone_cubic
+from .numerics import chebyshev_interpolant, find_roots, logsumexp, monotone_cubic
 
 __all__ = [
     "RHO_MAX",
@@ -542,7 +542,8 @@ _SUBSET_EXP = 1000
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
 # gk_quantiles tables log G_k at clip(m, TABLE_FLOOR, TABLE_NODES) points for
-# m >= 2 targets, then takes at most TABLE_PASSES exact passes before find_roots
+# m >= 2 targets, polishes its starts on the table's polynomial, then takes
+# at most TABLE_PASSES exact passes (one certifies most sets) before find_roots
 TABLE_FLOOR, TABLE_NODES = 32, 128
 TABLE_PASSES = 3
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -870,7 +871,14 @@ def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.nd
         return log_roots
     inverse = monotone_cubic(table, nodes)
     start = inverse(log_targets)
-    x, j = np.clip(start, lo, hi), np.arange(lo.size)
+    x = np.clip(start, lo, hi)
+    # the cubic start is about 1e-7 off; two steps on the polynomial q of the
+    # Chebyshev points take it to q's accuracy, so one exact pass certifies
+    # most sets
+    q, polished = chebyshev_interpolant(nodes[1:-1], table[1:-1]), x
+    for _ in range(2):
+        polished = np.clip(polished + start - inverse(q(polished)), lo, hi)
+    x, j = np.where(np.isfinite(polished), polished, x), np.arange(lo.size)
     for _ in range(TABLE_PASSES):
         f = log_gk(model, k, np.exp(x[j])) - log_targets[j]
         hit = np.abs(f) <= ROOT_TOL
@@ -894,7 +902,10 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     u^k first tabulates log G_k at clip(m, TABLE_FLOOR, TABLE_NODES)
     Chebyshev points in log u over the union of the brackets, plus its
     two ends, and starts each root at the monotone cubic inverse P of
-    that table; up to TABLE_PASSES exact passes then certify the roots or
+    that table. Two steps x <- x + P(log target) - P(q(x)) on the
+    polynomial q through the table's Chebyshev points polish each start
+    without a further G_k evaluation (a non-finite one keeps the cubic
+    start); up to TABLE_PASSES exact passes then certify the roots or
     move them by x <- x + P(log target) - P(log G_k(x)) within their
     brackets. One batched bracketed solve (find_roots) takes the roots
     left open, the whole set when the table is not finite and strictly

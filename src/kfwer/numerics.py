@@ -1,8 +1,9 @@
 """Numerical kernels.
 
-A batched bracketed root finder, a monotone piecewise cubic interpolant
-and a log-sum-exp; the normal CDF and quantile come from scipy.special
-(ndtr, ndtri).
+A batched bracketed root finder, a monotone piecewise cubic interpolant,
+the barycentric polynomial interpolant at Chebyshev points and a
+log-sum-exp; the normal CDF and quantile come from scipy.special (ndtr,
+ndtri).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from .errors import BracketingError, ConvergenceError
 __all__ = [
     "find_roots",
     "monotone_cubic",
+    "chebyshev_interpolant",
     "logsumexp",
 ]
 
@@ -92,6 +94,31 @@ def monotone_cubic(x, y):
         return y[i] + t * (hm0[i] + t * (3.0 * rise[i] - 2.0 * hm0[i] - hm1[i] + t * c))
 
     return cubic
+
+
+def chebyshev_interpolant(x, y):
+    """The polynomial through (x_j, y_j) at the m Chebyshev points of the
+    first kind x_j of an interval, in increasing or decreasing order, as a
+    function of an array of points.
+
+    It is evaluated in the barycentric form of Berrut and Trefethen (SIAM
+    Rev. 46, 2004), with the weights (-1)^j sin((j + 1/2) pi / m); a point
+    on a node takes that node's value.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    j = np.arange(x.size)
+    w = np.where(j % 2, -1.0, 1.0) * np.sin(np.pi * (j + 0.5) / x.size)
+
+    def poly(q):
+        d = np.asarray(q, dtype=float)[:, None] - x
+        on = d == 0.0
+        c = w / np.where(on, 1.0, d)
+        out = (c @ y) / c.sum(axis=1)
+        node = on.any(axis=1)
+        out[node] = y[np.argmax(on[node], axis=1)]
+        return out
+
+    return poly
 
 
 def logsumexp(a, axis: int) -> np.ndarray:

@@ -7,6 +7,7 @@ acceptance scan triggers on P_(j) >= c_j.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .critvals import CriticalValueSet
 from .errors import ConfigurationError
@@ -44,8 +45,7 @@ class PValueVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     id: str
     p: float
     rank: int
@@ -80,13 +80,7 @@ def _check_length(pvec, cset):
 def _report(procedure, cset, order, i0, critical_values):
     num = i0 if i0 is not None else 0
     records = tuple(
-        DecisionRecord(
-            id=ident,
-            p=p,
-            rank=rank,
-            critical_value=critical_values[rank - 1],
-            rejected=rank <= num,
-        )
+        DecisionRecord(ident, p, rank, critical_values[rank - 1], rank <= num)
         for rank, (ident, p) in enumerate(order, start=1)
     )
     return DecisionReport(

@@ -152,17 +152,20 @@ def _bracketed(model, k, targets):
                              log_t, log_t / k, ROOT_TOL))
 
 
-TABLE_CASES = [  # (model, k, number of targets)
-    (equicorrelated_normal(0.3), 2, 199),
-    (factor_normal((0.5,) * 100 + (0.8,) * 100), 3, 198),
-    (equicorrelated_t(0.25, 5), 2, TABLE_NODES + 1),
+TABLE_CASES = [  # (model, k, number of targets, alpha)
+    (equicorrelated_normal(0.3), 2, 199, 0.05),
+    (factor_normal((0.5,) * 100 + (0.8,) * 100), 3, 198, 0.05),
+    (equicorrelated_t(0.25, 5), 2, TABLE_NODES + 1, 0.05),
+    (equicorrelated_normal(0.99), 10, 991, 0.05),
+    (factor_normal((0.3,) * 500 + (0.95,) * 500), 5, 996, 0.05),
 ]
 SMALL_TABLE_CASES = [  # sets of at most TABLE_NODES targets, tables sized to the set
-    (equicorrelated_normal(0.3), 2, 9),
-    (equicorrelated_normal(0.85), 2, 19),
-    (factor_normal((0.5,) * 20 + (0.8,) * 20), 2, 39),
-    (equicorrelated_t(0.25, 5), 2, 9),
-    (equicorrelated_normal(0.3), 2, 2),
+    (equicorrelated_normal(0.3), 2, 9, 0.05),
+    (equicorrelated_normal(0.85), 2, 19, 0.05),
+    (factor_normal((0.5,) * 20 + (0.8,) * 20), 2, 39, 0.05),
+    (equicorrelated_t(0.25, 5), 2, 9, 0.05),
+    (equicorrelated_normal(0.3), 2, 2, 0.05),
+    (equicorrelated_normal(0.33), 2, 3, 0.3),  # the oracle workload's warm-up set
 ]
 
 
@@ -189,18 +192,21 @@ def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
     assert set(sizes) == {1}  # no table
 
 
-@pytest.mark.parametrize("model, k, size", TABLE_CASES + SMALL_TABLE_CASES,
-                         ids=lambda v: v.describe() if isinstance(v, models.NullModel) else None)
-def test_table_roots_are_certified_and_near_the_bracketed_roots(monkeypatch, model, k, size):
-    targets = _simes_targets(size + k - 1, k)
+@pytest.mark.parametrize(
+    "model, k, size, alpha", TABLE_CASES + SMALL_TABLE_CASES,
+    ids=[f"{m.describe()}-{k}-{size}" + (f"-alpha={a}" if a != 0.05 else "")
+         for m, k, size, a in TABLE_CASES + SMALL_TABLE_CASES],
+)
+def test_table_roots_are_certified_and_near_the_bracketed_roots(monkeypatch, model, k, size, alpha):
+    targets = _simes_targets(size + k - 1, k, alpha)
     assert targets.size == size
     want = _bracketed(model, k, targets)
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, k, targets)
     monkeypatch.undo()
-    # the table, sized to the set, then the exact passes
+    # the table, sized to the set, then one exact pass certifies every root
     assert sizes[0] == min(max(size, TABLE_FLOOR), TABLE_NODES) + 2
-    assert len(sizes) <= 4
+    assert sizes[1:] == [size]
     assert np.all(np.abs(log_gk(model, k, got) - np.log(targets)) <= ROOT_TOL)
     assert np.all(np.abs(got / want - 1.0) <= 1e-9)
 
@@ -234,6 +240,30 @@ def test_a_nan_log_gk_is_never_a_root(monkeypatch, call, n):
         assert np.array_equal(got, _bracketed(model, 2, targets))
     else:
         assert calls[-1] < targets.size  # the bracketed solve of the open roots
+
+
+def test_a_nan_polished_start_falls_back_to_the_cubic_start(monkeypatch):
+    # root 0's polish is poisoned: it starts from the cubic instead and the
+    # exact passes certify it, with no bracketed solve
+    model, targets = equicorrelated_normal(0.3), _simes_targets(200, 2)
+    exact = models.chebyshev_interpolant
+
+    def poisoned(x, y):
+        poly = exact(x, y)
+
+        def q(points):
+            out = poly(points)
+            out[0] = np.nan
+            return out
+
+        return q
+
+    monkeypatch.setattr(models, "chebyshev_interpolant", poisoned)
+    sizes = _logged_log_gk(monkeypatch)
+    got = gk_quantiles(model, 2, targets)
+    monkeypatch.undo()
+    assert np.all(np.abs(log_gk(model, 2, got) - np.log(targets)) <= ROOT_TOL)
+    assert len(sizes) <= 1 + models.TABLE_PASSES
 
 
 # ---------------------------------------------------------------------------

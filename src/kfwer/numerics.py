@@ -108,14 +108,16 @@ def chebyshev_interpolant(x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     j = np.arange(x.size)
     w = np.where(j % 2, -1.0, 1.0) * np.sin(np.pi * (j + 0.5) / x.size)
+    sums = np.stack((y, np.ones_like(y)), axis=1)  # numerator and denominator
 
     def poly(q):
-        d = np.asarray(q, dtype=float)[:, None] - x
-        on = d == 0.0
-        c = w / np.where(on, 1.0, d)
-        out = (c @ y) / c.sum(axis=1)
-        node = on.any(axis=1)
-        out[node] = y[np.argmax(on[node], axis=1)]
+        q = np.asarray(q, dtype=float)
+        c = np.subtract.outer(q, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num, den = (np.divide(w, c, out=c) @ sums).T  # in place: one array
+            out = num / den
+        node = np.flatnonzero(np.isin(q, x))
+        out[node] = y[np.argmax(q[node, None] == x, axis=1)]
         return out
 
     return poly

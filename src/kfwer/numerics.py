@@ -98,8 +98,7 @@ def monotone_cubic(x, y):
 
 def chebyshev_interpolant(x, y):
     """The polynomial through (x_j, y_j) at the m Chebyshev points of the
-    first kind x_j of an interval, in increasing or decreasing order, as a
-    function of an array of points.
+    first kind x_j of an interval, as a function of an array of points.
 
     It is evaluated in the barycentric form of Berrut and Trefethen (SIAM
     Rev. 46, 2004), with the weights (-1)^j sin((j + 1/2) pi / m); a point

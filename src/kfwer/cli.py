@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .critvals import CLI_NAMES, critical_value_set, procedure_id, rule_for
 from .errors import ConfigurationError, KfwerError, NumericalError
@@ -167,6 +168,7 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@lru_cache(maxsize=1)  # built once: in-process callers run main many times
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kfwer",

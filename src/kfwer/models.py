@@ -578,14 +578,16 @@ def _legendre_unit(nodes: int):
 def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
     """The mode y* of h(y) = sum_j mult_j log Phi(a_j y - b_j) - y^2/2, per
     row of b, and the distances (d-, d+) from y* at which h has fallen by
-    _DROP. h is strictly concave with h'' <= -1: Newton finds y*, then each
-    cut from inside sqrt(2 _DROP), which h'' <= -1 makes a bound. A row
-    stops moving once its own step is small, so it takes the steps it would
-    take alone, whatever rows are evaluated beside it.
+    _DROP, as the two columns of an array. h is strictly concave with
+    h'' <= -1: Newton finds y*, then both cuts in one loop, each from
+    inside sqrt(2 _DROP), which h'' <= -1 makes a bound. Every entry stops
+    moving once its own step is small, so it takes the steps it would take
+    alone, whatever entries are evaluated beside it.
     """
+    a, b = a[..., None, :], b[:, None, :]  # one row of x per column of y
 
     def derivatives(y, second=True):
-        x = a * y[:, None] - b
+        x = a * y[..., None] - b
         log_cdf = log_ndtr(x)
         mills = np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_cdf)
         h, d1 = log_cdf @ mult - 0.5 * y * y, (a * mills) @ mult - y
@@ -593,7 +595,7 @@ def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
             return h, d1
         return h, d1, -(a * a * mills * (x + mills)) @ mult - 1.0
 
-    y, done = np.zeros(b.shape[0]), np.zeros(b.shape[0], dtype=bool)
+    y, done = np.zeros((b.shape[0], 1)), np.zeros((b.shape[0], 1), dtype=bool)
     for _ in range(200):
         _, d1, d2 = derivatives(y)
         step = np.where(done, 0.0, np.clip(d1 / -d2, -4.0, 4.0))
@@ -604,39 +606,36 @@ def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
     else:
         raise ConvergenceError("mode of the one-factor integrand not found in 200 Newton steps")
     peak, _, d2 = derivatives(y)
-    cuts = []
-    for sign in (-1.0, 1.0):
-        # h - peak + _DROP is concave in d: Newton from either side of its
-        # root lands right of it, then falls monotonically onto it
-        d = np.minimum(np.sqrt(2.0 * _DROP / -d2), math.sqrt(2.0 * _DROP))
-        done[:] = False
-        for _ in range(100):
-            h, d1 = derivatives(y + sign * d, second=False)
-            step = np.where(done, 0.0, (h - peak + _DROP) / (sign * d1))
-            d = np.minimum(d - step, math.sqrt(2.0 * _DROP))
-            done |= np.abs(step) <= 1e-3 * d
-            if done.all():
-                break
-        cuts.append(d)
-    return y, cuts
+    # h - peak + _DROP is concave in d: Newton from either side of its root
+    # lands right of it, then falls monotonically onto it
+    sign = np.array([-1.0, 1.0])
+    d = np.minimum(np.sqrt(2.0 * _DROP / -d2), math.sqrt(2.0 * _DROP)).repeat(2, axis=1)
+    done = np.zeros(d.shape, dtype=bool)
+    for _ in range(100):
+        h, d1 = derivatives(y + sign * d, second=False)
+        step = np.where(done, 0.0, (h - peak + _DROP) / (sign * d1))
+        d = np.minimum(d - step, math.sqrt(2.0 * _DROP))
+        done |= np.abs(step) <= 1e-3 * d
+        if done.all():
+            break
+    return y[:, 0], d
 
 
 def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndarray:
     """log E_Y[prod_j Phi((lam_j Y - t) / sqrt(1 - lam_j^2))^mult_j] for each t:
     each side of the mode of the log integrand, out to its cut
-    (_mode_and_cuts), by NODES-point Gauss-Legendre summed by logsumexp, so
-    the relative accuracy holds however small G_k is."""
+    (_mode_and_cuts), by NODES-point Gauss-Legendre, and the 2 NODES terms
+    log d + log w + h of both sides summed by one logsumexp, so the
+    relative accuracy holds however small G_k is."""
     s = np.sqrt(1.0 - np.square(lam))
     a = lam / s
     b = t[:, None] / s
-    y, cuts = _mode_and_cuts(a, b, mult)
+    y, d = _mode_and_cuts(a, b, mult)
     nodes, log_weights = _legendre_unit(NODES)
-    sides = []
-    for sign, d in zip((-1.0, 1.0), cuts):
-        yy = y[:, None] + sign * d[:, None] * nodes
-        h = log_ndtr(a * yy[..., None] - b[:, None, :]) @ mult - 0.5 * yy * yy
-        sides.append(np.log(d) + logsumexp(log_weights + h, axis=1))
-    return np.logaddexp(*sides) - _LOG_SQRT_2PI
+    yy = y[:, None, None] + (np.array([-1.0, 1.0]) * d)[..., None] * nodes
+    h = log_ndtr(a * yy[..., None] - b[:, None, None, :]) @ mult - 0.5 * yy * yy
+    terms = np.log(d)[..., None] + log_weights + h
+    return logsumexp(terms.reshape(t.size, -1), axis=1) - _LOG_SQRT_2PI
 
 
 def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> np.ndarray:
@@ -652,9 +651,8 @@ def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> n
     """
     s = np.sqrt(1.0 - np.square(lam))
     a, b = lam / s, -ndtri(u)[:, None] / s
-    y, (left, right) = _mode_and_cuts(
-        np.tile(a, u.size)[:, None], b.reshape(-1, 1), np.array([float(k)]))
-    lo, hi = (y - left).reshape(b.shape).min(axis=1), (y + right).reshape(b.shape).max(axis=1)
+    y, d = _mode_and_cuts(np.tile(a, u.size)[:, None], b.reshape(-1, 1), np.array([float(k)]))
+    lo, hi = (y - d[:, 0]).reshape(b.shape).min(axis=1), (y + d[:, 1]).reshape(b.shape).max(axis=1)
     # per group, (j, m0, w): w[i] = C(c, j) C(seen, m - j) / C(seen + c, m),
     # the weight of p_g^j in the mean over m = m0 + i subsets, with C(seen,
     # m - j) > 0; the last group makes only m = k
@@ -760,7 +758,7 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray
 
     G_k(u) = E_{V,Y}[Phi((sqrt(rho) Y - q_u V / sqrt(dof)) / sqrt(1 - rho))^k]
     with Y ~ N(0, 1), V ~ chi_dof and q_u the upper-u t quantile:
-    Gauss-Hermite in Y times _chi_graded in V, summed by logsumexp, over
+    Gauss-Hermite in Y times _chi_graded in V, summed by numerics.logsumexp, over
     chunks of u that keep each pass near _T_CHUNK points.
     """
     y, log_wy = _hermite_normal(nodes)
@@ -780,9 +778,7 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray
         # lies _T_DROP below u^k add less than 1e-20 of G_k in all
         keep = log_w >= k * math.log(flat[part].min()) - _T_DROP
         terms = k * log_ndtr(ay[keep] - q[part, None] * cv[keep]) + log_w[keep]
-        peak = np.maximum(terms.max(axis=1), np.finfo(float).min)  # -inf stays -inf
-        with np.errstate(divide="ignore"):  # a sum of 0 is caught below
-            out[part] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        out[part] = logsumexp(terms, axis=1)  # a sum of 0 is caught below
     _check_bounds(out, k, flat, T_REL_TOL, f"model {model.describe()} on the {nodes}-node "
                   f"t rule, which cannot resolve this u, at dof={model.dof}, rho={model.rho!r}")
     return out.reshape(u.shape)

@@ -2,8 +2,8 @@
 
 A batched bracketed root finder, a monotone piecewise cubic interpolant,
 the barycentric polynomial interpolant at Chebyshev points and a
-log-sum-exp; the normal CDF and quantile come from scipy.special (ndtr,
-ndtri).
+row-maximum log-sum-exp; the normal CDF and quantile come from
+scipy.special (ndtr, ndtri).
 """
 
 import numpy as np
@@ -112,31 +112,23 @@ def chebyshev_interpolant(x, y):
     def poly(q):
         q = np.asarray(q, dtype=float)
         c = np.subtract.outer(q, x)
+        hit, node = np.nonzero(c == 0.0)  # points on a node
         with np.errstate(divide="ignore", invalid="ignore"):
             num, den = (np.divide(w, c, out=c) @ sums).T  # in place: one array
             out = num / den
-        node = np.flatnonzero(np.isin(q, x))
-        out[node] = y[np.argmax(q[node, None] == x, axis=1)]
+        out[hit] = y[node]
         return out
 
     return poly
 
 
 def logsumexp(a, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis for a real array a, by the arithmetic of
-    scipy.special.logsumexp (scipy 1.17), so with its bits, without its
-    argument handling: the m entries equal to the maximum m0 leave the sum
-    s = sum(exp(a - m0)), and the result is log1p(s/m) + log(m) + m0, or
-    log(sum(exp(a))) where that is not finite."""
+    """log(sum(exp(a))) along axis for a real array a, in the row-maximum
+    form m + log(sum(exp(a - m))) with m the maximum; a non-finite m is
+    taken as 0, as scipy takes it, so a row of -inf only gives -inf, a row
+    holding NaN gives NaN and any other row holding +inf gives +inf."""
     a = np.asarray(a, dtype=float)
     top = a.max(axis=axis, keepdims=True)
-    at_top = a == top
-    rest = np.where(at_top, -np.inf, a)  # the maxima leave the sum
-    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(rest - top), axis=axis, keepdims=True)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
-    return out.squeeze(axis=axis)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):  # a sum of 0 is -inf
+        return np.log(np.sum(np.exp(a - top), axis=axis)) + top.squeeze(axis=axis)

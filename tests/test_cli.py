@@ -533,6 +533,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_repeated_calls_in_one_process_give_the_same_output(tmp_path, capsys):
+    # the parser is built once and reused, so no call may leave state behind
+    critvals = ("critvals", "--procedure", "gen-simes", "--n", "6", "--k", "2", "--alpha", "0.05",
+                "--model", "equicorr:0.5")
+    commands = [critvals, ("critvals", "--n", "6"), ("--help",),
+                ("simulate", "--config", write_config(tmp_path, config_doc())), critvals]
+    runs = [[run_cli(capsys, *argv)[:2] for argv in commands] for _ in range(2)]
+    assert [code for code, _ in runs[0]] == [0, 2, 0, 0, 0]
+    assert runs[0][4] == runs[0][0]
+    assert runs[1] == runs[0]
+
+
 def test_cli_start_does_not_import_scipy_integrate():
     # nothing in the package needs it, and it is slow to import
     code = "import sys, kfwer.cli; sys.exit('scipy.integrate' in sys.modules)"

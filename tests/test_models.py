@@ -356,8 +356,9 @@ def test_factor_value_that_underflows_raises_convergence_error(monkeypatch):
 @pytest.mark.parametrize("model,k", [
     (equicorrelated_normal(0.3), 100),
     (equicorrelated_normal(0.9), 10),
+    (equicorrelated_normal(0.99), 10),  # its two cuts take different numbers of steps
     (factor_normal((0.25,) * 20 + (0.75,) * 20), 2),
-], ids=["equicorr0.3-k100", "equicorr0.9-k10", "two-block"])
+], ids=["equicorr0.3-k100", "equicorr0.9-k10", "equicorr0.99-k10", "two-block"])
 def test_log_gk_of_a_point_does_not_depend_on_its_batch(model, k):
     u = np.geomspace(1e-200, 0.5, 100)
     batch = models.log_gk(model, k, u)

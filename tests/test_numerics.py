@@ -149,7 +149,7 @@ def _logsumexp_cases():
 
 @pytest.mark.parametrize("name", sorted(_logsumexp_cases()))
 @pytest.mark.parametrize("axis", [0, 1])
-def test_logsumexp_has_the_bits_of_scipy(name, axis):
+def test_logsumexp_is_within_2_eps_of_scipy(name, axis):
     from scipy.special import logsumexp as scipy_logsumexp
 
     from kfwer.numerics import logsumexp
@@ -157,4 +157,10 @@ def test_logsumexp_has_the_bits_of_scipy(name, axis):
     a = _logsumexp_cases()[name]
     with np.errstate(all="ignore"):
         want = scipy_logsumexp(a, axis=axis)
-    assert np.array_equal(logsumexp(a, axis), want, equal_nan=True)
+    got = logsumexp(a, axis)
+    finite = np.isfinite(want)
+    # -inf, +inf and NaN rows give exactly scipy's value, finite rows its
+    # value to 2 eps relative, or absolute below 1
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    tol = 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want[finite]))
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol)

@@ -16,9 +16,10 @@ factor_normal
     integral of the mean over size-k subsets, built by a recursion over
     the distinct loadings and certified by doubling its nodes.
 equicorrelated_t
-    the equicorrelated normal divided by a shared chi scale; G_k by a
-    fixed two-dimensional quadrature over the normal factor and the
-    scale, every value checked against a rule of twice the nodes.
+    the equicorrelated normal divided by a shared chi scale; G_k is the
+    equicorrelated normal's G_k averaged over that scale, a trapezoid sum
+    in the log of the normal threshold whose step is halved until two
+    sums agree.
 
 Every kind is analytic: each constant meets G_k(u) = target to a stated
 relative accuracy, or ConvergenceError is raised.
@@ -27,11 +28,11 @@ relative accuracy, or ConvergenceError is raised.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 from scipy.special import (
-    chdtri, gammaln, log_ndtr, ndtr, ndtri, roots_hermitenorm, roots_legendre, stdtr, stdtrit,
+    gammaln, log_ndtr, ndtr, ndtri, roots_legendre, stdtr, stdtrit,
 )
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
@@ -530,14 +531,14 @@ def _decide_sorted(rows, few, cut):
 NODES = 48
 _DROP = 40.0
 # The factor model's subset mean is certified instead: from SUBSET_NODES
-# nodes, doubled per point until two rules agree to SUBSET_TOL in log, up
+# nodes, doubled per point until two rules agree to LOG_TOL in log, up
 # to MAX_SUBSET_NODES nodes and _SUBSET_FLOATS floats of recursion per
-# point; the recursion runs on about _SUBSET_CHUNK floats at a time, on
+# point; the recursion runs on about _CHUNK floats at a time, on
 # p_g / max p scaled exactly by 2^(_SUBSET_EXP // k), so no k-product
 # passes 2^_SUBSET_EXP < the largest float and that much more room lies
 # above 0.
-SUBSET_NODES, SUBSET_TOL = 96, 1e-11
-MAX_SUBSET_NODES, _SUBSET_FLOATS, _SUBSET_CHUNK = 1 << 13, 1 << 21, 1 << 16
+SUBSET_NODES, LOG_TOL = 96, 1e-11
+MAX_SUBSET_NODES, _SUBSET_FLOATS, _CHUNK = 1 << 13, 1 << 21, 1 << 16
 _SUBSET_EXP = 1000
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
@@ -565,13 +566,10 @@ def _check_bounds(log_g, k: int, u, tol: float, where: str) -> None:
                                f"{float(log_g[bad[0]])!r}, outside [k log u, log u]")
 
 
-# Gauss-Legendre nodes and weights on [-1, 1], solved once per node count
-_legendre = lru_cache(maxsize=None)(roots_legendre)
-
-
 @lru_cache(maxsize=None)
 def _legendre_unit(nodes: int):
-    x, weights = _legendre(nodes)
+    """Gauss-Legendre nodes and log weights on [0, 1], solved once per node count."""
+    x, weights = roots_legendre(nodes)
     return 0.5 * (x + 1.0), np.log(0.5 * weights)
 
 
@@ -670,7 +668,7 @@ def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> n
     def rule(rows, nodes):
         x, log_weights = _legendre_unit(nodes)
         out = np.empty(rows.size)
-        step = max(1, _SUBSET_CHUNK // ((k + 1) * nodes))  # points per pass
+        step = max(1, _CHUNK // ((k + 1) * nodes))  # points per pass
         for start in range(0, rows.size, step):
             part = rows[start : start + step]
             yy = lo[part, None] + (hi - lo)[part, None] * x
@@ -707,96 +705,100 @@ def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> n
         if nodes > cap:
             raise ConvergenceError(
                 f"G_{k} of the factor model at u={float(u[rows[0]])!r} is not settled to "
-                f"{SUBSET_TOL:g} in log by {nodes // 2} nodes, the most allowed at k={k}")
+                f"{LOG_TOL:g} in log by {nodes // 2} nodes, the most allowed at k={k}")
         value = rule(rows, nodes)
         with np.errstate(invalid="ignore"):  # -inf twice settles, to fail the bounds below
-            done = ~(np.abs(value - last) > SUBSET_TOL)
+            done = ~(np.abs(value - last) > LOG_TOL)
         out[rows[done]] = value[done]
         rows, last = rows[~done], value[~done]
-    _check_bounds(out, k, u, SUBSET_TOL, "factor model")
+    _check_bounds(out, k, u, LOG_TOL, "factor model")
     return out
 
 
-# Nodes per axis of the equicorrelated t rule. It is not uniformly
-# accurate (one degree of freedom at u near 1e-6: 1e-1; rho = 0.9 with
-# k = 10: 5e-4), so every t value is recomputed on a rule of 2 T_NODES
-# nodes per axis and must agree with it to T_REL_TOL relative.
-T_NODES = 128
-T_REL_TOL = 1e-8
-# chi-square upper tail left beyond the last scale node
-_T_TAIL = 1e-18
-# (u, y, v) points held in one pass of the t rule
-_T_CHUNK = 1 << 20
-# log weight below log u^k at which a point of the t rule is dropped
-_T_DROP = 60.0
+# The t kind's outer integral is a trapezoid sum in r = log|tau| on the
+# grid _T_LO + i T_STEP / 2^j: j starts at 0 and grows per point until two
+# sums agree to LOG_TOL in log, at most to MAX_T_HALVINGS. The grid
+# [_T_LO, _T_HI] holds the window of every float u, also next to 1/2 and
+# to 1. L is taken at |tau| clipped to [e^_T_FLAT, e^_T_TOP]; outside it L
+# is L(0) to double precision below, and 0 above for tau < 0, while the
+# grid for tau > 0 ends at _T_TOP.
+T_STEP, MAX_T_HALVINGS = 0.25, 7
+_T_LO, _T_FLAT, _T_TOP, _T_HI = -100.0, -50.0, 4.25, 40.0
 
 
-@lru_cache(maxsize=2)
-def _hermite_normal(nodes: int):
-    """Nodes and log weights of E[f(Y)], Y ~ N(0, 1)."""
-    y, weights = roots_hermitenorm(nodes)
-    return y, np.log(weights) - _LOG_SQRT_2PI
-
-
-@lru_cache(maxsize=32)
-def _chi_graded(dof: int, nodes: int):
-    """Nodes and log weights of E[f(V)], V ~ chi_dof, cut at the 1 - _T_TAIL
-    quantile v_max. Gauss-Legendre in tau with v = v_max tau^2 packs nodes
-    near 0, where a small u puts the mass of the t integrand."""
-    x, weights = _legendre(nodes)
-    tau = 0.5 * (x + 1.0)
-    v_max = math.sqrt(chdtri(dof, _T_TAIL))
-    v = v_max * tau * tau
-    log_density = ((dof - 1.0) * np.log(v) - 0.5 * v * v
-                   - (0.5 * dof - 1.0) * math.log(2.0) - gammaln(0.5 * dof))
-    # dv = 2 v_max tau dtau, and dtau = dx / 2
-    return v, np.log(weights * v_max * tau) + log_density
-
-
-def _log_gk_t(model: NullModel, k: int, u: np.ndarray, nodes: int) -> np.ndarray:
-    """log G_k(u) of the equicorrelated t on a nodes x nodes tensor rule.
-
-    G_k(u) = E_{V,Y}[Phi((sqrt(rho) Y - q_u V / sqrt(dof)) / sqrt(1 - rho))^k]
-    with Y ~ N(0, 1), V ~ chi_dof and q_u the upper-u t quantile:
-    Gauss-Hermite in Y times _chi_graded in V, summed by numerics.logsumexp, over
-    chunks of u that keep each pass near _T_CHUNK points.
+def _log_gk_t(model: NullModel, k: int, u: np.ndarray) -> np.ndarray:
+    """log G_k(u) of the equicorrelated t, the one-factor normal integral
+    mixed over the chi scale (Genz and Bretz, Computation of Multivariate
+    Normal and t Probabilities, 2009): G_k(u) = E_V[exp L(q_u V / sqrt(dof))],
+    V ~ chi_dof, q_u the upper-u t quantile, L(tau) = _log_one_factor(
+    sqrt(rho), k, tau). In r the log integrand is L(+-e^r) + dof (r - c_u)
+    - e^(2 (r - c_u)) / 2 + const, c_u = log(|q_u| / sqrt(dof)), so one
+    table of L serves every u. Each u sums the T_STEP grid points within
+    _DROP of its peak, plus one on each side, and halves the step there;
+    a window that reaches a grid end raises ConvergenceError.
     """
-    y, log_wy = _hermite_normal(nodes)
-    v, log_wv = _chi_graded(model.dof, nodes)
-    s = math.sqrt(1.0 - model.rho)
-    # the (y, v) grid flattened to one axis of points
-    ay = np.repeat((math.sqrt(model.rho) / s) * y, nodes)
-    cv = np.tile(v / (s * math.sqrt(model.dof)), nodes)
-    log_w = np.add.outer(log_wy, log_wv).ravel()
-    flat = u.ravel()
-    q = -stdtrit(model.dof, flat)
-    out = np.empty(q.size)
-    step = max(1, _T_CHUNK // log_w.size)
-    for lo in range(0, q.size, step):
-        part = slice(lo, lo + step)
-        # G_k(u) >= u^k, and the integrand is at most 1: points whose weight
-        # lies _T_DROP below u^k add less than 1e-20 of G_k in all
-        keep = log_w >= k * math.log(flat[part].min()) - _T_DROP
-        terms = k * log_ndtr(ay[keep] - q[part, None] * cv[keep]) + log_w[keep]
-        out[part] = logsumexp(terms, axis=1)  # a sum of 0 is caught below
-    _check_bounds(out, k, flat, T_REL_TOL, f"model {model.describe()} on the {nodes}-node "
-                  f"t rule, which cannot resolve this u, at dof={model.dof}, rho={model.rho!r}")
+    flat_u, dof = u.ravel(), model.dof
+    q = -stdtrit(dof, flat_u)
+    one_factor = partial(_log_one_factor, np.array([math.sqrt(model.rho)]), np.array([float(k)]))
+    out, zero = np.full(q.size, np.nan), q == 0.0
+    if zero.any():  # tau = 0 whatever V is
+        out[zero] = one_factor(np.zeros(1))[0]
+    with np.errstate(divide="ignore"):
+        c = np.log(np.abs(q) / math.sqrt(dof))
+    fine = 1 << MAX_T_HALVINGS  # finest grid points per T_STEP
+    h = T_STEP / fine
+    lo_table, hi_table = round((_T_FLAT - _T_LO) / h), round((_T_TOP - _T_LO) / h)
+    log_norm = (0.5 * dof - 1.0) * math.log(2.0) + gammaln(0.5 * dof)
+
+    def fail(i, why):
+        raise ConvergenceError(f"G_{k} of model {model.describe()} at "
+                               f"u={float(flat_u[i])!r}: {why}")
+
+    for sign in (1.0, -1.0):
+        end = hi_table if sign > 0 else round((_T_HI - _T_LO) / h)  # the last grid index
+        coarse, table = np.arange(0, end + 1, fine), np.full(hi_table - lo_table + 1, np.nan)
+
+        def log_integrand(i, at):  # rows i at grid indices at, filling the table of L
+            j = np.clip(at, lo_table, hi_table) - lo_table
+            todo = np.unique(j[np.isnan(table[j])])
+            if todo.size:
+                table[todo] = one_factor(sign * np.exp(_T_LO + (todo + lo_table) * h))
+            x = _T_LO + at * h - c[i, None]
+            return table[j] + dof * x - 0.5 * np.exp(2.0 * x)
+
+        rows, step = np.flatnonzero(sign * q > 0.0), max(1, _CHUNK // coarse.size)
+        for i in (rows[start : start + step] for start in range(0, rows.size, step)):
+            g = log_integrand(i, coarse)
+            keep = g >= g.max(axis=1, keepdims=True) - _DROP
+            lo, hi = keep.argmax(axis=1) - 1, coarse.size - keep[:, ::-1].argmax(axis=1)
+            bad = np.flatnonzero((lo < 0) | (hi >= coarse.size))
+            if bad.size:
+                fail(i[bad[0]], "the window of its integrand in log|tau| reaches a grid end")
+            cols = np.arange(coarse.size)
+            window = (cols >= lo[:, None]) & (cols <= hi[:, None])
+            total = logsumexp(np.where(window, g, -np.inf), axis=1)
+            for halving in range(MAX_T_HALVINGS):
+                # the new midpoints of each window, padded to one width by
+                # -inf and summed in order by a cumulative sum, so that a
+                # row's bits do not depend on the rows beside it
+                stride, width = fine >> (halving + 1), (hi - lo) << halving
+                cols = np.arange(width.max())
+                inside = cols < width[:, None]
+                at = (lo * fine + stride)[:, None] + 2 * stride * cols
+                at = np.where(inside, at, lo[:, None] * fine)  # padding: a known point
+                g = np.where(inside, log_integrand(i, at), -np.inf)
+                top = g.max(axis=1, keepdims=True)
+                mids = top[:, 0] + np.log(np.cumsum(np.exp(g - top), axis=1)[:, -1])
+                last, total = total, np.logaddexp(total, mids)
+                done = ~(np.abs(total - last - math.log(2.0)) > LOG_TOL)
+                out[i[done]] = total[done] + math.log(stride * h) - log_norm
+                i, lo, hi, total = i[~done], lo[~done], hi[~done], total[~done]
+                if not i.size:
+                    break
+            else:
+                fail(i[0], f"not settled to {LOG_TOL:g} in log by step {h:g} in log|tau|")
+    _check_bounds(out, k, flat_u, LOG_TOL, f"model {model.describe()}")
     return out.reshape(u.shape)
-
-
-def _check_t(model: NullModel, k: int, u, log_want, want: str) -> None:
-    """Raise ConvergenceError unless G_k(u) on the 2 T_NODES rule lies
-    within T_REL_TOL relative of exp(log_want), the value named by want."""
-    u = np.asarray(u, dtype=float)
-    rel = np.abs(np.expm1(_log_gk_t(model, k, u, 2 * T_NODES) - log_want))
-    bad = np.flatnonzero(~(rel <= T_REL_TOL))
-    if bad.size:
-        j = int(bad[0])
-        raise ConvergenceError(
-            f"model {model.describe()}: G_{k}({float(u[j])!r}) on the {2 * T_NODES}-node "
-            f"rule is {rel[j]:.2g} relative from its {want}, beyond {T_REL_TOL:g}; the t "
-            "quadrature cannot resolve this dof, rho, k and u"
-        )
 
 
 def _is_power(model: NullModel) -> bool:
@@ -811,14 +813,15 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     Independent models (and rho = 0) give k log u. The equicorrelated
     normal is _log_one_factor with one loading sqrt(rho) taken k times;
     the factor model averages over all size-k subsets by _log_subset_mean,
-    which certifies its own values. The t kind is _log_gk_t on T_NODES
-    nodes, not checked here; gk_evaluate and gk_quantiles check what they
-    return.
+    and the t kind mixes the equicorrelated one over its chi scale by
+    _log_gk_t; both certify their own values, by doubling nodes or halving
+    a step until two sums agree to LOG_TOL in log, or raise
+    ConvergenceError.
     """
     k = _validate_k(k)
     u = np.asarray(u, dtype=float)
     if model.kind == "equicorrelated_t":
-        return _log_gk_t(model, k, u, T_NODES)
+        return _log_gk_t(model, k, u)
     if _is_power(model):
         return k * np.log(u)
     if model.kind == "equicorrelated_normal":
@@ -834,9 +837,8 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
     """G_k(u): null CDF of the maximum of any k p-values at u.
 
     Outside (0, 1) the exact endpoint values 0 and 1 are returned. The
-    kinds other than u^k are exp(log_gk) at one point; a t value
-    that a rule of twice the nodes does not confirm to T_REL_TOL raises
-    ConvergenceError.
+    kinds other than u^k are exp(log_gk) at one point, certified as
+    log_gk says.
     """
     k = _validate_k(k)
     if not math.isfinite(u):
@@ -847,10 +849,7 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
         return 1.0
     if _is_power(model):
         return u**k
-    log_g = log_gk(model, k, [u])
-    if model.kind == "equicorrelated_t":
-        _check_t(model, k, [u], log_g, f"{T_NODES}-node value")
-    return float(np.exp(log_g[0]))
+    return float(np.exp(log_gk(model, k, [u])[0]))
 
 
 def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.ndarray:
@@ -905,10 +904,10 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     move them by x <- x + P(log target) - P(log G_k(x)) within their
     brackets. One batched bracketed solve (find_roots) takes the roots
     left open, the whole set when the table is not finite and strictly
-    increasing, a single target and the sets of the u^k kinds. A t root
-    at which a rule of twice the nodes misses the target by more than
-    T_REL_TOL relative raises ConvergenceError. At k = 1 the margins are
-    uniform, G_1(u) = u, and the targets are returned as they are.
+    increasing, a single target and the sets of the u^k kinds. Each
+    log_gk value, the t kind's too, is certified as log_gk says, or
+    raises ConvergenceError. At k = 1 the margins are uniform, G_1(u) =
+    u, and the targets are returned as they are.
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
@@ -927,10 +926,7 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
             lambda x, i: log_gk(model, k, np.exp(x)) - log_targets[j[i]],
             log_targets[j], log_targets[j] / k, ROOT_TOL,
         )
-    roots = np.exp(log_roots)
-    if model.kind == "equicorrelated_t":
-        _check_t(model, k, roots, log_targets, "target")
-    return roots
+    return np.exp(log_roots)
 
 
 def gk_quantile(model: NullModel, k: int, target: float) -> float:

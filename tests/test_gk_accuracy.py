@@ -6,29 +6,31 @@ targets fall far below 1e-10. The reference G_k here is nested adaptive
 Gauss-Kronrod quadrature (scipy.integrate.quad) of exp(h(y) - h(y*)),
 where h is the log integrand of the one-factor integral and y* its mode,
 so the scale of G_k never enters the quadrature. For the equicorrelated
-t model a further adaptive quadrature over the chi scale V runs outside
-the one-factor one.
+t model a further adaptive quadrature over s = log V, V the chi scale,
+runs outside the one-factor one, in log space in the same way.
 """
 
 import math
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.optimize import brentq
-from scipy.special import chdtri, gammaln, log_ndtr, logsumexp, ndtri, stdtrit
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import gammaln, log_ndtr, logsumexp, ndtri, stdtrit
 
 from kfwer import (
-    ConvergenceError,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
     gen_hochberg_critvals,
     gen_simes_critvals,
+    gk_evaluate,
     gk_quantiles,
     log_gk,
 )
+from kfwer.models import ROOT_TOL
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -38,9 +40,12 @@ def _log_class_quad(lams, mults, t):
     lam, mult = np.asarray(lams, dtype=float), np.asarray(mults, dtype=float)
     s = np.sqrt(1.0 - lam * lam)
     a, b = lam / s, t / s
+    # the integrand one scalar term per loading, which keeps quad's many
+    # calls cheap
+    terms = list(zip(a.tolist(), b.tolist(), mult.tolist()))
 
     def h(y):
-        return float(mult @ log_ndtr(a * y - b)) - 0.5 * y * y
+        return sum(m * log_ndtr(a_ * y - b_) for a_, b_, m in terms) - 0.5 * y * y
 
     def slope(y):
         x = a * y - b
@@ -132,25 +137,51 @@ def test_factor_values_at_tiny_u_match_nested_quad(loadings, k):
 
 def _log_gk_t_quad(rho, dof, k, u):
     """log G_k(u) of the equicorrelated t: E_V of the one-factor class at
-    threshold q_u V / sqrt(dof), V ~ chi_dof, by adaptive quadrature in V
-    on either side of the chi median, cut at the 1 - 1e-18 quantile."""
+    threshold q_u V / sqrt(dof), V ~ chi_dof, in s = log V. h(s), the log
+    of the chi density times V plus that class's log value, is
+    integrated as exp(h(s) - h(s*)) around its mode s* by adaptive
+    quadrature, out to where h has fallen by 50 on each side, so the
+    scale of G_k never enters the quadrature, however small u is."""
     q, lam = -stdtrit(dof, u), math.sqrt(rho)
     log_norm = (0.5 * dof - 1.0) * math.log(2.0) + gammaln(0.5 * dof)
 
-    def integrand(v):
-        log_density = (dof - 1.0) * math.log(v) - 0.5 * v * v - log_norm
-        return math.exp(log_density + _log_class_quad([lam], [k], q * v / math.sqrt(dof)))
+    def h(s):
+        tau = q * math.exp(s) / math.sqrt(dof)
+        chi = dof * s - 0.5 * math.exp(2.0 * s) - log_norm
+        if tau > 40.0:  # only the bound log Phi(-tau): h lies far below its peak here
+            return chi + float(log_ndtr(-min(tau, 1e100)))
+        return chi + _log_class_quad([lam], [k], tau)
 
-    cuts = [0.0, math.sqrt(chdtri(dof, 0.5)), math.sqrt(chdtri(dof, 1e-18))]
-    return math.log(sum(
-        integrate.quad(integrand, lo_, hi_, epsabs=0.0, epsrel=1e-8, limit=200)[0]
+    # the chi factor peaks at log sqrt(dof), s = centre; the class term
+    # moves the mode left at most to where tau is of order one, and for q > 0
+    # keeps it below tau = 40
+    centre, c = 0.5 * math.log(dof), math.log(abs(q) / math.sqrt(dof)) if q else -math.inf
+    bounds = (min(centre, -c) - 10.0, min(centre + 4.0, math.log(40.0) - c if q > 0 else math.inf))
+    mode = minimize_scalar(lambda s: -h(s), bounds=bounds, method="bounded",
+                           options={"xatol": 1e-3}).x
+    peak = h(mode)
+    ends = []
+    for side in (-1.0, 1.0):
+        step = 1.0
+        while h(mode + side * step) > peak - 50.0:
+            step *= 1.5
+        ends.append(mode + side * step)
+    cuts = [ends[0], mode - 1.0, mode - 0.1, mode, mode + 0.1, mode + 1.0, ends[1]]
+    total = sum(
+        integrate.quad(lambda s: math.exp(h(s) - peak), lo_, hi_, epsabs=0.0,
+                       epsrel=1e-11, limit=200)[0]
         for lo_, hi_ in zip(cuts, cuts[1:])
-    ))
+    )
+    return peak + math.log(total)
 
 
-# the four fig4 sets, one with stronger correlation, larger k and n, and
-# one of more than TABLE_NODES roots, which gk_quantiles starts from a table
-T_CASES = [(0.25, dof, 10, 2) for dof in (2, 5, 10, 30)] + [(0.75, 5, 20, 3), (0.25, 5, 200, 2)]
+# the four fig4 sets, one with stronger correlation, larger k and n, one of
+# more than TABLE_NODES roots, which gk_quantiles starts from a table, two
+# at one degree of freedom (rho = 0.9 with k = 10, which a fixed tensor
+# rule refused, and k = 2, where it was 5e-9 off), and one whose top
+# constant, 0.665, lies above 1/2
+T_CASES = [(0.25, dof, 10, 2) for dof in (2, 5, 10, 30)] + [
+    (0.75, 5, 20, 3), (0.25, 5, 200, 2), (0.9, 1, 30, 10), (0.25, 1, 20, 2), (0.1, 5, 30, 10)]
 
 
 @pytest.mark.parametrize("rho,dof,n,k", T_CASES, ids=lambda v: str(v))
@@ -163,8 +194,32 @@ def test_t_constants_meet_their_targets_to_relative_accuracy(rho, dof, n, k):
         assert abs(math.expm1(log_g - math.log(target))) <= 1e-6, (i, cset.value_at(i), target)
 
 
-def test_t_constants_beyond_the_rule_raise():
-    # one degree of freedom, rho = 0.9 and k = 10 near 1e-6: the two rules
-    # disagree by percents, so no constant may be returned
-    with pytest.raises(ConvergenceError, match="256-node rule"):
-        gk_quantiles(equicorrelated_t(0.9, 1), 10, [1e-6, 2e-6, 4e-6])
+@pytest.mark.parametrize("rho,dof,k,u", [
+    (0.25, 5, 2, 0.5),  # q_u = 0: G_k is exp L(0)
+    (0.25, 5, 2, 0.7),  # q_u < 0
+    (0.5, 2, 10, 0.7),
+    (0.25, 1, 2, 1e-100),
+    (0.25, 1, 2, 1e-300),
+], ids=lambda v: str(v))
+def test_t_values_match_nested_quad(rho, dof, k, u):
+    got = gk_evaluate(equicorrelated_t(rho, dof), k, u)
+    want = _log_gk_t_quad(rho, dof, k, u)
+    assert abs(math.expm1(math.log(got) - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("rho,dof,k,targets", [
+    # one degree of freedom, rho = 0.9 and k = 10 near 1e-6, where the
+    # tensor rule's two node counts disagreed by percents
+    (0.9, 1, 10, [1e-6, 2e-6, 4e-6]),
+    # a root near 1e-125, where the tensor rule's value underflowed
+    (0.25, 1, 2, [1e-250]),
+], ids=["rho0.9-dof1-k10", "dof1-target1e-250"])
+def test_t_roots_the_tensor_rule_refused_match_nested_quad(rho, dof, k, targets):
+    model = equicorrelated_t(rho, dof)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = gk_quantiles(model, k, targets)
+    got = log_gk(model, k, roots)
+    want = [_log_gk_t_quad(rho, dof, k, u) for u in roots]
+    assert np.all(np.abs(np.expm1(got - want)) <= 1e-10)
+    assert np.all(np.abs(got - np.log(targets)) <= ROOT_TOL)

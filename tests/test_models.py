@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from itertools import combinations
 
@@ -358,7 +359,10 @@ def test_factor_value_that_underflows_raises_convergence_error(monkeypatch):
     (equicorrelated_normal(0.9), 10),
     (equicorrelated_normal(0.99), 10),  # its two cuts take different numbers of steps
     (factor_normal((0.25,) * 20 + (0.75,) * 20), 2),
-], ids=["equicorr0.3-k100", "equicorr0.9-k10", "equicorr0.99-k10", "two-block"])
+    (equicorrelated_t(0.25, 5), 2),
+    (equicorrelated_t(0.9, 1), 10),  # its windows differ in width from u to u
+], ids=["equicorr0.3-k100", "equicorr0.9-k10", "equicorr0.99-k10", "two-block", "t0.25-5-k2",
+        "t0.9-1-k10"])
 def test_log_gk_of_a_point_does_not_depend_on_its_batch(model, k):
     u = np.geomspace(1e-200, 0.5, 100)
     batch = models.log_gk(model, k, u)
@@ -424,13 +428,19 @@ def test_t_model_large_dof_approaches_normal():
     assert abs(got - want) < 0.004
 
 
-def test_t_value_outside_its_bounds_raises_convergence_error():
-    # at u = 1e-250 the 128-node t rule gives log G_k = -inf, far below
-    # k log u: a clear refusal, not a bracketing failure or numpy warnings
+@pytest.mark.parametrize("dof, target, why", [
+    # the t_1 quantile of u = 1e-320 overflows, so the window of the
+    # outer integrand lies past the grid: a clear refusal, not a
+    # bracketing failure or numpy warnings
+    (1, 1e-320, "u=1e-320: the window of its integrand in log|tau| reaches a grid end"),
+    # a chi scale of 10^5 degrees of freedom is narrower than the finest step
+    (10**5, 1e-3, "not settled to 1e-11 in log by step 0.00195312 in log|tau|"),
+], ids=["dof1-u1e-320", "dof1e5"])
+def test_t_values_beyond_the_rule_raise(dof, target, why):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="dof=1, rho=0.25, k=2, u=1"):
-            gk_quantile(equicorrelated_t(0.25, 1), 2, 1e-250)
+        with pytest.raises(ConvergenceError, match=re.escape(why)):
+            gk_quantile(equicorrelated_t(0.25, dof), 2, target)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .critvals import (
     rule_for,
 )
 from .errors import (
-    BracketingError,
     ConfigurationError,
     ConvergenceError,
     DomainError,
@@ -58,7 +57,6 @@ from .models import (
     score_bands,
     score_model,
 )
-from .numerics import find_roots
 from .procedures import (
     DecisionRecord,
     DecisionReport,
@@ -85,7 +83,6 @@ from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",
-    "find_roots",
     "NullModel", "independent", "equicorrelated_normal",
     "factor_normal", "equicorrelated_t", "parse_model", "draw", "draw_null_pvalues",
     "draw_scores", "pmap", "score_model", "score_bands",
@@ -104,5 +101,5 @@ __all__ = [
     "thread_cap", "canned_study_names", "canned_study_configs",
     "CheckResult", "run_suite",
     "KfwerError", "DomainError", "ConfigurationError", "ScaleError",
-    "NumericalError", "BracketingError", "ConvergenceError",
+    "NumericalError", "ConvergenceError",
 ]

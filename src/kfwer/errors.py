@@ -28,16 +28,8 @@ class NumericalError(KfwerError):
     """Base class for numerical failures."""
 
 
-class BracketingError(NumericalError):
-    """Root finding was given an interval that does not bracket a sign change."""
-
-
 class ConvergenceError(NumericalError):
     """An iterative scheme did not converge within its refinement budget."""
-
-    def __init__(self, message, last_estimates=None):
-        super().__init__(message)
-        self.last_estimates = last_estimates
 
 
 def as_int(name, value) -> int:

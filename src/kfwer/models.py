@@ -32,11 +32,11 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 from scipy.special import (
-    gammaln, log_ndtr, ndtr, ndtri, roots_legendre, stdtr, stdtrit,
+    betaincinv, gammaln, log_ndtr, ndtr, ndtri, roots_legendre, stdtr, stdtrit,
 )
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, as_float, as_floats, as_int
-from .numerics import chebyshev_interpolant, find_roots, logsumexp, monotone_cubic
+from .numerics import chebyshev_interpolant, logsumexp, monotone_cubic
 
 __all__ = [
     "RHO_MAX",
@@ -543,10 +543,11 @@ _SUBSET_EXP = 1000
 # the solver stops on |log G_k(u) - log target| <= ROOT_TOL
 ROOT_TOL = 1e-10
 # gk_quantiles tables log G_k at clip(m, TABLE_FLOOR, TABLE_NODES) points for
-# m >= 2 targets, polishes its starts on the table's polynomial, then takes
-# at most TABLE_PASSES exact passes (one certifies most sets) before find_roots
+# m targets, polishes its starts on the table's polynomial, then takes at
+# most MAX_PASSES exact passes (one certifies most sets); bisection closes a
+# bracket [log t, log t / k] onto adjacent floats in about 54 + log2 k
 TABLE_FLOOR, TABLE_NODES = 32, 128
-TABLE_PASSES = 3
+MAX_PASSES = 100
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -556,14 +557,19 @@ def _validate_k(k):
     return int(k)
 
 
-def _check_bounds(log_g, k: int, u, tol: float, where: str) -> None:
-    """Raise ConvergenceError where log G_k(u) lies more than tol outside
-    [k log u, log u], the bounds positive dependence gives every kind."""
+def _bounded(model: NullModel, k: int, u: np.ndarray, log_g: np.ndarray) -> np.ndarray:
+    """log_g clipped into [k log u, log u], the bounds positive dependence
+    gives every kind; ConvergenceError where it lies more than LOG_TOL
+    outside them."""
     log_u = np.log(u)
-    bad = np.flatnonzero(~((log_g >= k * log_u - tol) & (log_g <= log_u + tol)))
-    if bad.size:
-        raise ConvergenceError(f"{where}, k={k}, u={float(u[bad[0]])!r}: log G_k(u) is "
-                               f"{float(log_g[bad[0]])!r}, outside [k log u, log u]")
+    low = k * log_u
+    inside = (log_g >= low - LOG_TOL) & (log_g <= log_u + LOG_TOL)
+    if not inside.all():
+        i = np.flatnonzero(~inside)[0]
+        raise ConvergenceError(
+            f"model {model.describe()}, k={k}, u={float(u.flat[i])!r}: log G_k(u) is "
+            f"{float(log_g.flat[i])!r}, outside [k log u, log u]")
+    return np.maximum(np.minimum(log_g, log_u), low)
 
 
 @lru_cache(maxsize=None)
@@ -582,6 +588,10 @@ def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
     moving once its own step is small, so it takes the steps it would take
     alone, whatever entries are evaluated beside it.
     """
+    # y* < (max(b, 0) + 1) sum_j sqrt(mult_j), over twice the bound the Mills
+    # ratio gives, and a step moves y at most 4
+    reach = (float(b.max(initial=0.0)) + 1.0) * float(np.sqrt(mult).sum())
+    steps = 200 + (int(reach) // 4 if reach < math.inf else 0)
     a, b = a[..., None, :], b[:, None, :]  # one row of x per column of y
 
     def derivatives(y, second=True):
@@ -594,7 +604,7 @@ def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
         return h, d1, -(a * a * mills * (x + mills)) @ mult - 1.0
 
     y, done = np.zeros((b.shape[0], 1)), np.zeros((b.shape[0], 1), dtype=bool)
-    for _ in range(200):
+    for _ in range(steps):
         _, d1, d2 = derivatives(y)
         step = np.where(done, 0.0, np.clip(d1 / -d2, -4.0, 4.0))
         y += step
@@ -602,7 +612,7 @@ def _mode_and_cuts(a: np.ndarray, b: np.ndarray, mult: np.ndarray):
         if done.all():
             break
     else:
-        raise ConvergenceError("mode of the one-factor integrand not found in 200 Newton steps")
+        raise ConvergenceError(f"mode of the one-factor integrand not found in {steps} Newton steps")
     peak, _, d2 = derivatives(y)
     # h - peak + _DROP is concave in d: Newton from either side of its root
     # lands right of it, then falls monotonically onto it
@@ -711,7 +721,6 @@ def _log_subset_mean(lam: np.ndarray, counts: tuple, k: int, u: np.ndarray) -> n
             done = ~(np.abs(value - last) > LOG_TOL)
         out[rows[done]] = value[done]
         rows, last = rows[~done], value[~done]
-    _check_bounds(out, k, u, LOG_TOL, "factor model")
     return out
 
 
@@ -738,7 +747,12 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray) -> np.ndarray:
     a window that reaches a grid end raises ConvergenceError.
     """
     flat_u, dof = u.ravel(), model.dof
-    q = -stdtrit(dof, flat_u)
+    q, side = -stdtrit(dof, flat_u), np.sign(0.5 - flat_u)
+    wrong = ~(np.isfinite(q) & (np.sign(q) == side))
+    if wrong.any():  # far in a tail stdtrit can overflow or flip sign
+        x = betaincinv(0.5 * dof, 0.5, 2.0 * np.minimum(flat_u[wrong], 1.0 - flat_u[wrong]))
+        with np.errstate(divide="ignore"):  # x = 0: q_u overflows
+            q[wrong] = side[wrong] * np.sqrt(dof * (1.0 - x) / x)
     one_factor = partial(_log_one_factor, np.array([math.sqrt(model.rho)]), np.array([float(k)]))
     out, zero = np.full(q.size, np.nan), q == 0.0
     if zero.any():  # tau = 0 whatever V is
@@ -797,7 +811,6 @@ def _log_gk_t(model: NullModel, k: int, u: np.ndarray) -> np.ndarray:
                     break
             else:
                 fail(i[0], f"not settled to {LOG_TOL:g} in log by step {h:g} in log|tau|")
-    _check_bounds(out, k, flat_u, LOG_TOL, f"model {model.describe()}")
     return out.reshape(u.shape)
 
 
@@ -816,21 +829,25 @@ def log_gk(model: NullModel, k: int, u) -> np.ndarray:
     and the t kind mixes the equicorrelated one over its chi scale by
     _log_gk_t; both certify their own values, by doubling nodes or halving
     a step until two sums agree to LOG_TOL in log, or raise
-    ConvergenceError.
+    ConvergenceError. Every kind's values are then clipped into [k log u,
+    log u], and ConvergenceError is raised where one lies more than LOG_TOL
+    outside.
     """
     k = _validate_k(k)
     u = np.asarray(u, dtype=float)
     if model.kind == "equicorrelated_t":
-        return _log_gk_t(model, k, u)
-    if _is_power(model):
-        return k * np.log(u)
-    if model.kind == "equicorrelated_normal":
-        return _log_one_factor(np.array([math.sqrt(model.rho)]), np.array([float(k)]), -ndtri(u))
-    n = len(model.loadings)
-    if k > n:
-        raise ConfigurationError(f"k={k} exceeds the number of loadings n={n}")
-    lam, counts = np.unique(model.loadings, return_counts=True)
-    return _log_subset_mean(lam, tuple(counts.tolist()), k, u)
+        out = _log_gk_t(model, k, u)
+    elif _is_power(model):
+        out = k * np.log(u)
+    elif model.kind == "equicorrelated_normal":
+        out = _log_one_factor(np.array([math.sqrt(model.rho)]), np.array([float(k)]), -ndtri(u))
+    else:
+        n = len(model.loadings)
+        if k > n:
+            raise ConfigurationError(f"k={k} exceeds the number of loadings n={n}")
+        lam, counts = np.unique(model.loadings, return_counts=True)
+        out = _log_subset_mean(lam, tuple(counts.tolist()), k, u)
+    return _bounded(model, k, u, out)
 
 
 def gk_evaluate(model: NullModel, k: int, u: float) -> float:
@@ -852,62 +869,17 @@ def gk_evaluate(model: NullModel, k: int, u: float) -> float:
     return float(np.exp(log_gk(model, k, [u])[0]))
 
 
-def _table_log_roots(model: NullModel, k: int, log_targets: np.ndarray) -> np.ndarray:
-    """The log roots of gk_quantiles that its table passes certify, NaN
-    where a root is left open."""
-    lo, hi = log_targets, log_targets / k
-    log_roots = np.full(lo.size, np.nan)
-    a, b = lo.min(), hi.max()
-    size = min(max(lo.size, TABLE_FLOOR), TABLE_NODES)
-    chebyshev = np.cos(np.pi * (np.arange(size) + 0.5) / size)
-    nodes = np.concatenate(([a], 0.5 * (a + b) - 0.5 * (b - a) * chebyshev, [b]))
-    table = log_gk(model, k, np.exp(nodes))
-    if not (np.isfinite(table).all() and (np.diff(table) > 0.0).all()):
-        return log_roots
-    inverse = monotone_cubic(table, nodes)
-    start = inverse(log_targets)
-    x = np.clip(start, lo, hi)
-    # the cubic start is about 1e-7 off; two steps on the polynomial q of the
-    # Chebyshev points take it to q's accuracy, so one exact pass certifies
-    # most sets
-    q, polished = chebyshev_interpolant(nodes[1:-1], table[1:-1]), x
-    for _ in range(2):
-        polished = np.clip(polished + start - inverse(q(polished)), lo, hi)
-    x, j = np.where(np.isfinite(polished), polished, x), np.arange(lo.size)
-    for _ in range(TABLE_PASSES):
-        f = log_gk(model, k, np.exp(x[j])) - log_targets[j]
-        hit = np.abs(f) <= ROOT_TOL
-        log_roots[j[hit]] = x[j[hit]]
-        # a NaN residual leaves its root open, for the bracketed solve
-        moved = ~hit & np.isfinite(f)
-        j, f = j[moved], f[moved]
-        if j.size == 0:
-            break
-        x[j] = np.clip(x[j] + start[j] - inverse(log_targets[j] + f), lo[j], hi[j])
-    return log_roots
-
-
 def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     """Solve G_k(q_j) = targets_j for every j, each target in (0, 1).
 
-    Every kind solves in (log u, log target): a root is returned only
-    once an exact log_gk gives |log G_k(q_j) - log target_j| <= ROOT_TOL.
-    Positive dependence gives u^k <= G_k(u) <= u, so each root lies in
-    [target, target^(1/k)]. A set of m >= 2 targets of a kind other than
-    u^k first tabulates log G_k at clip(m, TABLE_FLOOR, TABLE_NODES)
-    Chebyshev points in log u over the union of the brackets, plus its
-    two ends, and starts each root at the monotone cubic inverse P of
-    that table. Two steps x <- x + P(log target) - P(q(x)) on the
-    polynomial q through the table's Chebyshev points polish each start
-    without a further G_k evaluation (a non-finite one keeps the cubic
-    start); up to TABLE_PASSES exact passes then certify the roots or
-    move them by x <- x + P(log target) - P(log G_k(x)) within their
-    brackets. One batched bracketed solve (find_roots) takes the roots
-    left open, the whole set when the table is not finite and strictly
-    increasing, a single target and the sets of the u^k kinds. Each
-    log_gk value, the t kind's too, is certified as log_gk says, or
-    raises ConvergenceError. At k = 1 the margins are uniform, G_1(u) =
-    u, and the targets are returned as they are.
+    A root is returned once |log G_k(q_j) - log target_j| <= ROOT_TOL.
+    k = 1 returns the targets and the u^k kinds target^(1/k). Any other
+    set starts each root at the cubic inverse P of a table of log G_k,
+    polished on the table's polynomial (or, with no finite increasing
+    table, at its bracket's midpoint), then takes exact passes that keep
+    its bracket [log target, log target / k]: a step of P where it lands
+    strictly inside, else the midpoint. README "Accuracy of the
+    constants" has the details.
     """
     k = _validate_k(k)
     targets = np.asarray(targets, dtype=float)
@@ -917,16 +889,42 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
     if k == 1:
         return targets.copy()
     log_targets = np.log(targets)
-    log_roots = np.full(targets.size, np.nan)  # NaN: left open
-    if targets.size > 1 and not _is_power(model):
-        log_roots = _table_log_roots(model, k, log_targets)
-    j = np.flatnonzero(np.isnan(log_roots))
-    if j.size:
-        log_roots[j] = find_roots(
-            lambda x, i: log_gk(model, k, np.exp(x)) - log_targets[j[i]],
-            log_targets[j], log_targets[j] / k, ROOT_TOL,
-        )
-    return np.exp(log_roots)
+    lo, hi = log_targets.copy(), log_targets / k  # each root's bracket
+    if _is_power(model):
+        return np.exp(hi)
+    a, b = lo.min(), hi.max()
+    size = min(max(lo.size, TABLE_FLOOR), TABLE_NODES)
+    chebyshev = np.cos(np.pi * (np.arange(size) + 0.5) / size)
+    nodes = np.concatenate(([a], 0.5 * (a + b) - 0.5 * (b - a) * chebyshev, [b]))
+    table = log_gk(model, k, np.exp(nodes))
+    if np.isfinite(table).all() and (np.diff(table) > 0.0).all():
+        inverse = monotone_cubic(table, nodes)
+        start = inverse(log_targets)
+        x = np.clip(start, lo, hi)
+        # the cubic start is about 1e-7 off; two steps on the polynomial q of the
+        # Chebyshev points take it to q's accuracy, so one exact pass certifies
+        # most sets
+        q, polished = chebyshev_interpolant(nodes[1:-1], table[1:-1]), x
+        for _ in range(2):
+            polished = np.clip(polished + start - inverse(q(polished)), lo, hi)
+        x = np.where(np.isfinite(polished), polished, x)
+    else:
+        inverse, x = None, 0.5 * (lo + hi)
+    j = np.arange(lo.size)
+    for _ in range(MAX_PASSES):
+        f = log_gk(model, k, np.exp(x[j])) - log_targets[j]
+        lo[j] = np.where(f < 0.0, x[j], lo[j])
+        hi[j] = np.where(f > 0.0, x[j], hi[j])
+        open_ = ~(np.abs(f) <= ROOT_TOL)  # a NaN residual stays open
+        j, f = j[open_], f[open_]
+        if not j.size:
+            return np.exp(x)
+        step = x[j] + start[j] - inverse(log_targets[j] + f) if inverse else np.nan
+        x[j] = np.where((lo[j] < step) & (step < hi[j]), step, 0.5 * (lo[j] + hi[j]))
+    raise ConvergenceError(
+        f"G_{k} of model {model.describe()}: {j.size} roots still open after {MAX_PASSES} "
+        f"passes, the first at target {float(targets[j[0]])!r}, |log G_k - log target| = "
+        f"{float(abs(f[0]))!r}")
 
 
 def gk_quantile(model: NullModel, k: int, target: float) -> float:

@@ -1,71 +1,17 @@
 """Numerical kernels.
 
-A batched bracketed root finder, a monotone piecewise cubic interpolant,
-the barycentric polynomial interpolant at Chebyshev points and a
-row-maximum log-sum-exp; the normal CDF and quantile come from
-scipy.special (ndtr, ndtri).
+A monotone piecewise cubic interpolant, the barycentric polynomial
+interpolant at Chebyshev points and a row-maximum log-sum-exp; the
+normal CDF and quantile come from scipy.special (ndtr, ndtri).
 """
 
 import numpy as np
 
-from .errors import BracketingError, ConvergenceError
-
 __all__ = [
-    "find_roots",
     "monotone_cubic",
     "chebyshev_interpolant",
     "logsumexp",
 ]
-
-# regula falsi steps find_roots takes before it gives up on open roots
-MAX_STEPS = 100
-
-
-def find_roots(f, lo, hi, tol: float) -> np.ndarray:
-    """Roots of many increasing functions at once, one per bracket.
-
-    f(x, j) returns the values at the points x of the functions indexed
-    by the integer array j; lo and hi bracket the roots, f(lo) <= 0 <=
-    f(hi) elementwise. All brackets take regula falsi steps together,
-    with the Illinois halving of a stale endpoint value, and a root stops
-    once |f| <= tol there. A bracket that does not hold raises
-    BracketingError; a root still open after MAX_STEPS steps raises
-    ConvergenceError.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    every = np.arange(lo.size)
-    flo, fhi = f(lo, every), f(hi, every)
-    unbracketed = np.flatnonzero((flo > tol) | (fhi < -tol))
-    if unbracketed.size:
-        bad = int(unbracketed[0])
-        raise BracketingError(
-            f"bracket {bad} [{lo[bad]!r}, {hi[bad]!r}] holds no root: "
-            f"f(lo)={flo[bad]!r}, f(hi)={fhi[bad]!r}"
-        )
-    roots = np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
-    residual = np.minimum(np.abs(flo), np.abs(fhi))
-    moved = np.zeros(lo.size, dtype=int)  # end moved last: -1 lo, +1 hi
-    for _ in range(MAX_STEPS):
-        j = np.flatnonzero(~(residual <= tol))  # a NaN residual stays open
-        if j.size == 0:
-            return roots
-        a, b, fa, fb = lo[j], hi[j], flo[j], fhi[j]
-        x = a - fa * (b - a) / (fb - fa)
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        fx = f(x, j)
-        roots[j], residual[j] = x, np.abs(fx)
-        left = fx < 0.0
-        jl, jr = j[left], j[~left]
-        fhi[jl[moved[jl] == -1]] *= 0.5
-        flo[jr[moved[jr] == 1]] *= 0.5
-        lo[jl], flo[jl], moved[jl] = x[left], fx[left], -1
-        hi[jr], fhi[jr], moved[jr] = x[~left], fx[~left], 1
-    worst = int(np.argmax(residual))
-    raise ConvergenceError(
-        f"{int(np.sum(~(residual <= tol)))} roots still open after {MAX_STEPS} steps; "
-        f"worst |f|={residual[worst]!r} on [{lo[worst]!r}, {hi[worst]!r}]",
-        last_estimates=(lo[worst], hi[worst]),
-    )
 
 
 def monotone_cubic(x, y):

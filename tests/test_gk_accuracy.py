@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln, log_ndtr, logsumexp, ndtri, stdtrit
+from scipy.special import gammaln, log_ndtr, logsumexp, ndtri, stdtr, stdtrit
 
 from kfwer import (
     equicorrelated_normal,
@@ -135,14 +135,15 @@ def test_factor_values_at_tiny_u_match_nested_quad(loadings, k):
         assert abs(math.expm1(g - _log_gk_quad(list(loadings), k, x))) <= 1e-10, x
 
 
-def _log_gk_t_quad(rho, dof, k, u):
+def _log_gk_t_quad(rho, dof, k, u, q=None):
     """log G_k(u) of the equicorrelated t: E_V of the one-factor class at
     threshold q_u V / sqrt(dof), V ~ chi_dof, in s = log V. h(s), the log
     of the chi density times V plus that class's log value, is
     integrated as exp(h(s) - h(s*)) around its mode s* by adaptive
     quadrature, out to where h has fallen by 50 on each side, so the
-    scale of G_k never enters the quadrature, however small u is."""
-    q, lam = -stdtrit(dof, u), math.sqrt(rho)
+    scale of G_k never enters the quadrature, however small u is. The
+    upper-u quantile q_u is -stdtrit(dof, u) unless given."""
+    q, lam = -stdtrit(dof, u) if q is None else q, math.sqrt(rho)
     log_norm = (0.5 * dof - 1.0) * math.log(2.0) + gammaln(0.5 * dof)
 
     def h(s):
@@ -223,3 +224,38 @@ def test_t_roots_the_tensor_rule_refused_match_nested_quad(rho, dof, k, targets)
     want = [_log_gk_t_quad(rho, dof, k, u) for u in roots]
     assert np.all(np.abs(np.expm1(got - want)) <= 1e-10)
     assert np.all(np.abs(got - np.log(targets)) <= ROOT_TOL)
+
+
+def _t_upper_quantile(dof, u):
+    """q > 0 with stdtr(dof, -q) = u, for u < 1/3: brentq on log stdtr in
+    log q, between whole steps of log q that bracket it."""
+    def g(s):
+        return math.log(stdtr(dof, -math.exp(s))) - math.log(u)
+
+    hi = 0.0
+    while g(hi) > 0.0:
+        hi += 1.0
+    return math.exp(brentq(g, hi - 1.0, hi, xtol=1e-15))
+
+
+@pytest.mark.parametrize("dof", [3, 5, 6, 10])
+def test_t_values_where_stdtrit_fails_match_nested_quad(dof):
+    # at u = 1e-300 scipy's stdtrit returns +inf for these dof, the wrong
+    # sign; the reference takes q_u from brentq on stdtr instead
+    u = 1e-300
+    got = log_gk(equicorrelated_t(0.25, dof), 2, [u])[0]
+    want = _log_gk_t_quad(0.25, dof, 2, u, q=_t_upper_quantile(dof, u))
+    assert abs(math.expm1(got - want)) <= 1e-10
+
+
+# near -10^6 in log the reference's quad cannot meet its 1e-12 and says so
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("rho", [1e-5, 1e-4, 1e-3])
+@pytest.mark.parametrize("u", [1e-300, 5e-57])
+def test_equicorr_mode_far_from_0_matches_nested_quad(rho, u):
+    # at k = 10^4 the mode of the one-factor integrand lies at 460 to 1,860,
+    # more Newton steps of at most 4 from its start at 0 than the first
+    # 200; log G_k is near -10^6 here, where one ulp is already about 1e-10
+    got = log_gk(equicorrelated_normal(rho), 10_000, [u])[0]
+    want = _log_class_quad([math.sqrt(rho)], [10_000], -ndtri(u))
+    assert abs(got - want) <= 1e-10 + 8.0 * np.finfo(float).eps * abs(want)

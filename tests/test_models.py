@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
 from kfwer import (
     ConfigurationError,
@@ -28,7 +30,6 @@ from kfwer import (
 )
 from kfwer import models
 from kfwer.models import BLOCK, ROOT_TOL, TABLE_FLOOR, TABLE_NODES, cutoffs, decide
-from kfwer.numerics import find_roots
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +148,18 @@ def _simes_targets(n, k, alpha=0.05):
 
 
 def _bracketed(model, k, targets):
-    """The roots of one batched bracketed solve, which a single target takes."""
-    log_t = np.log(targets)
-    return np.exp(find_roots(lambda x, j: log_gk(model, k, np.exp(x)) - log_t[j],
-                             log_t, log_t / k, ROOT_TOL))
+    """Each root by scipy's brentq on log G_k in log u over its bracket
+    [log t, log t / k], one target at a time: a reference apart from the
+    table and its passes."""
+    def f(x, log_t):
+        return log_gk(model, k, np.exp([x]))[0] - log_t
+
+    return np.array([math.exp(brentq(f, log_t, log_t / k, args=(log_t,)))
+                     for log_t in np.log(targets)])
+
+
+def _certified(model, k, roots, targets):
+    return np.all(np.abs(log_gk(model, k, roots) - np.log(targets)) <= ROOT_TOL)
 
 
 TABLE_CASES = [  # (model, k, number of targets, alpha)
@@ -184,13 +193,26 @@ def _logged_log_gk(monkeypatch):
 
 @pytest.mark.parametrize("model", [equicorrelated_normal(0.3), equicorrelated_t(0.25, 5)],
                          ids=lambda m: m.describe())
-def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
+def test_a_single_target_is_solved_on_its_table(monkeypatch, model):
     targets = _simes_targets(10, 2)[4:5]
-    want = _bracketed(model, 2, targets)
     sizes = _logged_log_gk(monkeypatch)
-    assert np.array_equal(gk_quantiles(model, 2, targets), want)
-    assert gk_quantile(model, 2, float(targets[0])) == want[0]
-    assert set(sizes) == {1}  # no table
+    got = gk_quantiles(model, 2, targets)
+    assert sizes == [TABLE_FLOOR + 2, 1]  # the table, then one exact pass
+    assert gk_quantile(model, 2, float(targets[0])) == got[0]
+    monkeypatch.undo()
+    assert _certified(model, 2, got, targets)
+    assert abs(got[0] / _bracketed(model, 2, targets)[0] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("model", [equicorrelated_normal(0.0), independent()],
+                         ids=lambda m: m.describe())
+def test_a_power_set_is_its_closed_form(monkeypatch, model):
+    # G_k(u) = u^k: each root is exp(log t / k), with no evaluation of G_k
+    targets = _simes_targets(20, 3)
+    sizes = _logged_log_gk(monkeypatch)
+    got = gk_quantiles(model, 3, targets)
+    assert sizes == []
+    assert np.array_equal(got, np.exp(np.log(targets) / 3))
 
 
 @pytest.mark.parametrize(
@@ -201,28 +223,45 @@ def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
 def test_table_roots_are_certified_and_near_the_bracketed_roots(monkeypatch, model, k, size, alpha):
     targets = _simes_targets(size + k - 1, k, alpha)
     assert targets.size == size
-    want = _bracketed(model, k, targets)
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, k, targets)
     monkeypatch.undo()
     # the table, sized to the set, then one exact pass certifies every root
     assert sizes[0] == min(max(size, TABLE_FLOOR), TABLE_NODES) + 2
     assert sizes[1:] == [size]
-    assert np.all(np.abs(log_gk(model, k, got) - np.log(targets)) <= ROOT_TOL)
-    assert np.all(np.abs(got / want - 1.0) <= 1e-9)
+    assert _certified(model, k, got, targets)
+    assert np.all(np.abs(got / _bracketed(model, k, targets) - 1.0) <= 1e-9)
 
 
-def test_no_exact_pass_falls_back_to_the_bracketed_solve(monkeypatch):
-    model, targets = equicorrelated_normal(0.45), _simes_targets(300, 3)
-    monkeypatch.setattr(models, "TABLE_PASSES", 0)
-    assert np.array_equal(gk_quantiles(model, 3, targets), _bracketed(model, 3, targets))
+def test_a_step_outside_its_bracket_bisects(monkeypatch):
+    # 14 of these 18 roots stay open after the first exact pass; with every
+    # later step of P sent out of its bracket, they are bisected instead
+    model, targets = equicorrelated_normal(0.5), _simes_targets(20, 3, 0.3)
+    exact, steps = models.monotone_cubic, []
+
+    def far(x, y):
+        inverse = exact(x, y)
+
+        def p(q):
+            steps.append(np.size(q))
+            return inverse(q) + (1e3 if len(steps) > 3 else 0.0)  # after the start and polish
+
+        return p
+
+    monkeypatch.setattr(models, "monotone_cubic", far)
+    sizes = _logged_log_gk(monkeypatch)
+    got = gk_quantiles(model, 3, targets)
+    monkeypatch.undo()
+    assert sizes[1] == targets.size and 0 < sizes[2] < targets.size
+    assert len(sizes) > 10  # bisection halves a bracket per pass
+    assert _certified(model, 3, got, targets)
 
 
 @pytest.mark.parametrize("call, n", [(0, 200), (1, 200), (0, 20), (1, 20)],
                          ids=["table", "first pass", "table, small set", "first pass, small set"])
 def test_a_nan_log_gk_is_never_a_root(monkeypatch, call, n):
-    # a NaN in the table sends the whole set to the bracketed solve; a NaN
-    # residual in a pass keeps its root open until that solve certifies it
+    # a NaN in the table starts every root at the midpoint of its bracket;
+    # a NaN residual in a pass keeps its root open, and it is bisected
     model, targets = equicorrelated_normal(0.3), _simes_targets(n, 2)
     calls, exact = [], models.log_gk
 
@@ -230,22 +269,45 @@ def test_a_nan_log_gk_is_never_a_root(monkeypatch, call, n):
         out = exact(m, k, u)
         if len(calls) == call:
             out[0] = np.nan
-        calls.append(np.size(u))
+        calls.append(u)
         return out
 
     monkeypatch.setattr(models, "log_gk", poisoned)
     got = gk_quantiles(model, 2, targets)
     monkeypatch.undo()
-    assert np.all(np.abs(log_gk(model, 2, got) - np.log(targets)) <= ROOT_TOL)
+    assert _certified(model, 2, got, targets)
     if call == 0:
-        assert np.array_equal(got, _bracketed(model, 2, targets))
+        log_t = np.log(targets)
+        assert np.array_equal(calls[1], np.exp(0.5 * (log_t + log_t / 2)))
     else:
-        assert calls[-1] < targets.size  # the bracketed solve of the open roots
+        assert calls[-1].size < targets.size  # the open roots only
+
+
+@pytest.mark.parametrize("fault", ["step", "nan"])
+def test_a_residual_never_within_tol_raises_at_the_cap(monkeypatch, fault):
+    # a residual that jumps over 0, or is NaN, never certifies its root:
+    # the passes bisect the bracket down to adjacent floats, then stop
+    model, target = equicorrelated_normal(0.3), 1e-3
+    exact, calls = models.log_gk, []
+
+    def never(m, k, u):
+        out = exact(m, k, u)
+        calls.append(np.size(u))
+        if len(calls) == 1:
+            return out  # the table
+        if fault == "nan":
+            return np.full_like(out, np.nan)
+        return np.where(out < math.log(target), out - 1e-3, out + 1e-3)
+
+    monkeypatch.setattr(models, "log_gk", never)
+    with pytest.raises(ConvergenceError, match=f"1 roots still open after {models.MAX_PASSES} passes"):
+        gk_quantiles(model, 2, [target])
+    assert len(calls) == 1 + models.MAX_PASSES
 
 
 def test_a_nan_polished_start_falls_back_to_the_cubic_start(monkeypatch):
     # root 0's polish is poisoned: it starts from the cubic instead and the
-    # exact passes certify it, with no bracketed solve
+    # exact passes certify it
     model, targets = equicorrelated_normal(0.3), _simes_targets(200, 2)
     exact = models.chebyshev_interpolant
 
@@ -263,8 +325,36 @@ def test_a_nan_polished_start_falls_back_to_the_cubic_start(monkeypatch):
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, 2, targets)
     monkeypatch.undo()
-    assert np.all(np.abs(log_gk(model, 2, got) - np.log(targets)) <= ROOT_TOL)
-    assert len(sizes) <= 1 + models.TABLE_PASSES
+    assert _certified(model, 2, got, targets)
+    assert len(sizes) <= 4
+
+
+@pytest.mark.parametrize("shift, why", [(1e-9, "outside"), (-1e-9, "outside"), (5e-12, None),
+                                        (-5e-12, None)], ids=["above", "below", "just above",
+                                                              "just below"])
+def test_log_gk_outside_its_bounds_raises_or_is_clipped(monkeypatch, shift, why):
+    # every kind's log G_k(u) must lie in [k log u, log u]: a value more than
+    # LOG_TOL outside raises, one within it is clipped onto the bound
+    model, k, u = equicorrelated_normal(0.3), 2, np.array([1e-3, 0.2])
+    def off(lam, mult, t):  # log G_k(u) at t = -Phi^-1(u), shifted off its bound
+        log_u = log_ndtr(-t)
+        return (log_u if shift > 0 else k * log_u) + shift
+
+    monkeypatch.setattr(models, "_log_one_factor", off)
+    if why:
+        with pytest.raises(ConvergenceError, match=r"u=0\.001: log G_k\(u\) is .*outside"):
+            log_gk(model, k, u)
+        with pytest.raises(ConvergenceError, match="outside"):
+            gk_quantiles(model, k, [1e-4, 1e-3])
+    else:
+        assert np.array_equal(log_gk(model, k, u), np.log(u) if shift > 0 else k * np.log(u))
+
+
+def test_t_value_next_to_1_is_at_most_u():
+    # the trapezoid sum of a value near 1 carries about 6e-15, which the
+    # bounds clip away: G_k(u) <= u, and so <= 1
+    u = 1.0 - 2.0**-53
+    assert gk_evaluate(equicorrelated_t(0.25, 1), 2, u) <= u
 
 
 # ---------------------------------------------------------------------------

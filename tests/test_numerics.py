@@ -7,11 +7,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from kfwer import (
-    BracketingError,
-    ConvergenceError,
     DomainError,
     factor_normal,
-    find_roots,
     gk_evaluate,
     gk_factor_subset,
     independent,
@@ -51,52 +48,6 @@ def test_integrate_gaussian_convolution_identity(a, b):
     u = float(ndtr(a / math.hypot(1.0, b)))
     got = gk_factor_subset(factor_normal((lam,)), (1,), u)
     assert got == pytest.approx(u, rel=1e-12)
-
-
-def _roots(f, lo, hi, tol=1e-12):
-    # one scalar function through the batched solver
-    return float(find_roots(lambda x, j: f(x), [lo], [hi], tol)[0])
-
-
-def test_find_root_monotone_cubic():
-    root = _roots(lambda u: u**3 - 0.2, 0.0, 1.0)
-    assert root == pytest.approx(0.2 ** (1.0 / 3.0), abs=1e-10)
-
-
-def test_find_root_endpoint_roots():
-    assert _roots(lambda u: u, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert _roots(lambda u: u - 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_find_root_requires_bracket():
-    with pytest.raises(BracketingError):
-        _roots(lambda u: u + 1.0, 0.0, 1.0)
-
-
-def test_find_roots_respects_tolerance():
-    root = _roots(lambda u: u**2 - 0.5, 0.0, 1.0, tol=1e-13)
-    assert abs(root - math.sqrt(0.5)) < 1e-12
-
-
-def test_find_roots_solves_each_bracket_on_its_own():
-    # the roots of u^3 = c_j, with the brackets of later entries closing
-    # at different steps; entries are independent of their neighbours
-    targets = np.array([1e-6, 0.008, 0.2, 0.9])
-    roots = find_roots(lambda x, j: x**3 - targets[j], np.zeros(4), np.ones(4), 1e-14)
-    assert roots == pytest.approx(np.cbrt(targets), rel=1e-9)
-    alone = [find_roots(lambda x, j: x**3 - c, [0.0], [1.0], 1e-14)[0] for c in targets]
-    assert np.array_equal(roots, alone)
-
-
-def test_find_roots_raises_when_steps_run_out():
-    # a step function is never within tol of 0, so every step leaves it open
-    with pytest.raises(ConvergenceError, match="still open"):
-        find_roots(lambda x, j: np.where(x < 0.5, -1.0, 1.0), [0.0], [1.0], 1e-12)
-
-
-def test_find_roots_never_accepts_a_nan_value():
-    with pytest.raises(ConvergenceError):
-        find_roots(lambda x, j: np.where(x > 0.5, np.nan, x - 0.75), [0.0], [1.0], 1e-12)
 
 
 def test_monotone_cubic_interpolates_and_stays_increasing():

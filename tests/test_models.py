@@ -193,13 +193,16 @@ def _logged_log_gk(monkeypatch):
 
 @pytest.mark.parametrize("model", [equicorrelated_normal(0.3), equicorrelated_t(0.25, 5)],
                          ids=lambda m: m.describe())
-def test_a_single_target_is_solved_on_its_table(monkeypatch, model):
+def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
+    # one target is solved on its table like every set, inside its bracket
+    # [t, t^(1/k)], and lands on the brentq reference
     targets = _simes_targets(10, 2)[4:5]
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, 2, targets)
     assert sizes == [TABLE_FLOOR + 2, 1]  # the table, then one exact pass
     assert gk_quantile(model, 2, float(targets[0])) == got[0]
     monkeypatch.undo()
+    assert targets[0] <= got[0] <= math.sqrt(targets[0])
     assert _certified(model, 2, got, targets)
     assert abs(got[0] / _bracketed(model, 2, targets)[0] - 1.0) <= 1e-9
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from kfwer import (
     DomainError,
+    equicorrelated_normal,
     factor_normal,
     gk_evaluate,
     gk_factor_subset,
@@ -48,6 +50,32 @@ def test_integrate_gaussian_convolution_identity(a, b):
     u = float(ndtr(a / math.hypot(1.0, b)))
     got = gk_factor_subset(factor_normal((lam,)), (1,), u)
     assert got == pytest.approx(u, rel=1e-12)
+
+
+def _root(monkeypatch, g, target):
+    """The root of g(u) = target by gk_quantiles' one solver, with G_2 of a
+    correlated model replaced by g, increasing with u^2 <= g(u) <= u, so it
+    solves g on its table and its bracket [target, target^(1/2)]."""
+    from kfwer import models
+
+    monkeypatch.setattr(models, "log_gk", lambda m, k, u: np.log(g(np.asarray(u))))
+    return float(models.gk_quantiles(equicorrelated_normal(0.3), 2, [target])[0])
+
+
+def test_find_root_monotone_cubic(monkeypatch):
+    root = _root(monkeypatch, lambda u: 0.5 * (u + u**3), 0.2)
+    want = brentq(lambda u: u + u**3 - 0.4, 0.0, 1.0, xtol=1e-15)
+    assert root == pytest.approx(want, abs=1e-10)
+
+
+def test_find_roots_respects_tolerance(monkeypatch):
+    # |log g(root) - log t| <= ROOT_TOL, with d log g / d log u in [1, 3/2]
+    from kfwer.models import ROOT_TOL
+
+    root = _root(monkeypatch, lambda u: 0.5 * (u + u**2), 0.5)
+    want = 0.5 * (math.sqrt(5.0) - 1.0)  # u^2 + u = 1
+    assert abs(math.log(0.5 * (root + root**2) / 0.5)) <= ROOT_TOL
+    assert abs(math.log(root / want)) <= ROOT_TOL
 
 
 def test_monotone_cubic_interpolates_and_stays_increasing():

@@ -21,6 +21,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln, log_ndtr, logsumexp, ndtri, stdtr, stdtrit
 
 from kfwer import (
+    ConvergenceError,
     equicorrelated_normal,
     equicorrelated_t,
     factor_normal,
@@ -99,6 +100,9 @@ CASES = [
     ("simes", 20, 2, "factor", (0.99999, 0.99999)),
     # far-apart group modes, where 96 nodes over their hull miss by 1.3e-4
     ("hochberg", 40, 5, "factor", (0.1, 0.95)),
+    # a sharp near-1 term in a small part of the hull, which takes thousands
+    # of steps
+    ("simes", 20, 3, "factor", (0.5, 0.9999)),
 ]
 
 
@@ -119,6 +123,13 @@ def test_constants_meet_their_targets_to_relative_accuracy(family, n, k, kind, p
             target = alpha / math.comb(n + k - i, k)
         log_g = _log_gk_quad(loadings, k, cset.value_at(i))
         assert abs(math.expm1(log_g - math.log(target))) <= 1e-6, (i, cset.value_at(i), target)
+
+
+def test_factor_set_too_sharp_for_the_finest_step_raises():
+    # with loadings of 0.99999 beside 0.5 the sum is not settled at the
+    # finest step: a refusal, not a value
+    with pytest.raises(ConvergenceError, match="not settled to 1e-11 in log"):
+        gen_simes_critvals(20, 3, 0.05, factor_normal(_two_block(20, 0.5, 0.99999)))
 
 
 @pytest.mark.parametrize("loadings,k", [
@@ -238,13 +249,18 @@ def _t_upper_quantile(dof, u):
     return math.exp(brentq(g, hi - 1.0, hi, xtol=1e-15))
 
 
-@pytest.mark.parametrize("dof", [3, 5, 6, 10])
-def test_t_values_where_stdtrit_fails_match_nested_quad(dof):
-    # at u = 1e-300 scipy's stdtrit returns +inf for these dof, the wrong
-    # sign; the reference takes q_u from brentq on stdtr instead
-    u = 1e-300
-    got = log_gk(equicorrelated_t(0.25, dof), 2, [u])[0]
-    want = _log_gk_t_quad(0.25, dof, 2, u, q=_t_upper_quantile(dof, u))
+@pytest.mark.parametrize("dof,k,u", [
+    # at u = 1e-300 scipy's stdtrit returns +inf for these dof, the wrong sign
+    *(pytest.param(dof, 2, 1e-300, id=str(dof)) for dof in (3, 5, 6, 10)),
+    # finite and right-signed but wrong: half the true q_u at dof 3, and
+    # 4e-10 relative off at dof 5
+    (3, 3, 1e-200),
+    (5, 2, 3e-270),
+], ids=lambda v: str(v))
+def test_t_values_where_stdtrit_fails_match_nested_quad(dof, k, u):
+    # the reference takes q_u from brentq on stdtr
+    got = log_gk(equicorrelated_t(0.25, dof), k, [u])[0]
+    want = _log_gk_t_quad(0.25, dof, k, u, q=_t_upper_quantile(dof, u))
     assert abs(math.expm1(got - want)) <= 1e-10
 
 

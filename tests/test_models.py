@@ -423,27 +423,27 @@ def test_factor_distinct_loadings_at_k3_match_subset_mean():
 
 
 def test_factor_rule_past_its_cap_raises(monkeypatch):
-    # loadings of 0.9999 settle only on 768 nodes; with the rule capped at
-    # 384 no value may be returned, while a set that settles on 192 keeps
-    # its bits
+    # loadings of 0.9999 settle only after 5 halvings (1536 steps); with
+    # the rule capped at 4 no value may be returned, while a set that
+    # settles after one keeps its bits
     near_one, two_block = factor_normal((0.9999,) * 10), factor_normal((0.3,) * 5 + (0.7,) * 5)
     u = np.array([1e-6, 1e-3])
     assert np.all(np.isfinite(models.log_gk(near_one, 2, u)))
     want = models.log_gk(two_block, 2, u)
-    monkeypatch.setattr(models, "MAX_SUBSET_NODES", 384)
-    with pytest.raises(ConvergenceError, match="not settled to 1e-11 in log by 384 nodes"):
+    monkeypatch.setattr(models, "MAX_HALVINGS", 4)
+    with pytest.raises(ConvergenceError, match=r"u=1e-06: not settled to 1e-11 in log by step \S+ in Y"):
         models.log_gk(near_one, 2, u)
     assert np.array_equal(models.log_gk(two_block, 2, u), want)
 
 
 def test_factor_value_that_underflows_raises_convergence_error(monkeypatch):
     # with p_g / max p in [0, 1] and no headroom above 1, the one 4-subset's
-    # product underflows at every node at u = 1e-300, so log G_4 reads -inf
-    # on both rules: a refusal, not a value or numpy warnings
+    # product underflows at u = 1e-300 at all but a few points, which the
+    # halvings never settle: a refusal, not a value or numpy warnings
     monkeypatch.setattr(models, "_SUBSET_EXP", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match=r"k=4, u=1e-300: log G_k\(u\) is -inf"):
+        with pytest.raises(ConvergenceError, match=r"G_4 .* u=1e-300: not settled to 1e-11"):
             models.log_gk(factor_normal((0.01, 0.3, 0.6, 0.999)), 4, np.array([1e-300]))
 
 

@@ -224,7 +224,7 @@ def parse_model(spec) -> NullModel:
 # seeded sampling
 
 # Replications are drawn in fixed blocks of BLOCK rows; block b of a
-# (seed, salt) pair has its own Philox stream, so any row depends only on
+# (seed, salt) pair has its own SFC64 stream, so any row depends only on
 # (model, mu, seed, salt, row), never on n, the chunking or the threads.
 BLOCK = 1024
 
@@ -239,17 +239,19 @@ def stream_word(seed: int, salt: int) -> int:
 
 
 def substream(word: int, index: int) -> np.random.Generator:
-    """Counter-based substream: one Philox stream per (word, index) pair."""
-    return np.random.Generator(np.random.Philox(key=[word, index]))
+    """The substream of (word, index): SFC64 seeded by SeedSequence((word, index))."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((word, index))))
 
 
-def _fill_scores(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: np.ndarray):
+def _fill_scores(model: NullModel, mu: np.ndarray, span: slice, g: np.random.Generator,
+                 out: np.ndarray):
     """Fill out (BLOCK rows) with the scores of one block's stream, in the
-    order draw_scores documents."""
+    order draw_scores documents. mu is subtracted over span, its first to
+    its last nonzero entry, only: elsewhere s - 0.0 = s."""
     if model.kind == "independent":
-        if mu.any():
+        if span.stop:  # some mu_j != 0
             g.standard_normal(out=out)
-            out -= mu
+            out[:, span] -= mu[span]
         else:
             g.random(out=out)
         return
@@ -261,8 +263,7 @@ def _fill_scores(model: NullModel, mu: np.ndarray, g: np.random.Generator, out: 
     out -= lam * normals[:, :1]
     if model.kind == "equicorrelated_t":
         out /= np.sqrt(g.chisquare(model.dof, BLOCK) / model.dof)[:, None]
-    if mu.any():
-        out -= mu
+    out[:, span] -= mu[span]
 
 
 def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: int) -> np.ndarray:
@@ -298,9 +299,12 @@ def draw_scores(model: NullModel, mu, start: int, stop: int, seed: int, salt: in
             f"factor model has {len(model.loadings)} loadings, requested {mu.size}"
         )
     word = stream_word(seed, salt)
+    nonzero = np.flatnonzero(mu)
+    span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
     out = np.empty((stop - start, mu.size))
     for row in range(0, stop - start, BLOCK):
-        _fill_scores(model, mu, substream(word, (start + row) // BLOCK), out[row : row + BLOCK])
+        _fill_scores(model, mu, span, substream(word, (start + row) // BLOCK),
+                     out[row : row + BLOCK])
     return out
 
 
@@ -634,7 +638,7 @@ def _log_one_factor(lam: np.ndarray, mult: np.ndarray, t: np.ndarray) -> np.ndar
     yy = y[:, None, None] + (np.array([-1.0, 1.0]) * d)[..., None] * _UNIT_NODES
     h = log_ndtr(a * yy[..., None] - b[:, None, None, :]) @ mult - 0.5 * yy * yy
     terms = np.log(d)[..., None] + np.log(_UNIT_WEIGHTS) + h
-    return logsumexp(terms.reshape(t.size, -1), axis=1) - _LOG_SQRT_2PI
+    return logsumexp(terms.reshape(t.size, 2 * NODES), axis=1) - _LOG_SQRT_2PI
 
 
 def _halved_sum(log_f, lo, hi, step, where, unit):
@@ -889,7 +893,7 @@ def gk_quantiles(model: NullModel, k: int, targets) -> np.ndarray:
         return targets.copy()
     log_targets = np.log(targets)
     lo, hi = log_targets.copy(), log_targets / k  # each root's bracket
-    if _is_power(model):
+    if _is_power(model) or not targets.size:
         return np.exp(hi)
     a, b = lo.min(), hi.max()
     size = min(max(lo.size, TABLE_FLOOR), TABLE_NODES)

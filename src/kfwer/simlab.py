@@ -2,8 +2,8 @@
 
 Every replication's sample comes from models.draw_scores, the package's
 one sampler. Replications are grouped into fixed blocks of models.BLOCK
-rows, and block b of a config draws from one counter-based Philox
-stream keyed by (stream_word(seed, SIMLAB_SALT), b). A replication's
+rows, and block b of a config draws from one SFC64 stream, seeded by
+SeedSequence((stream_word(seed, SIMLAB_SALT), b)). A replication's
 sample therefore depends only on the model, the mean vector, the seed
 and its index, never on n, the chunking or the thread count, so
 estimates are bit-identical for a fixed seed however the work is
@@ -240,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     true_mask = mean == 0.0
     n1 = int(np.count_nonzero(~true_mask))
     few_true = 2 * n1 > n
-    few = true_mask if few_true else ~true_mask
+    few = np.flatnonzero(true_mask if few_true else ~true_mask)
 
     counts = {proc: dict.fromkeys(METRICS, 0) for proc in cfg.procedures}
     pw_sum = dict.fromkeys(cfg.procedures, 0.0)
@@ -248,7 +248,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
     for scores in score_chunks(cfg.model, mean, reps, cfg.seed, SIMLAB_SALT):
         # few's columns are copied before decide sorts the rows in place
-        for proc, (nrej, hits) in zip(cfg.procedures, decide(scores, scores[:, few], cuts)):
+        decisions = decide(scores, scores.take(few, axis=1), cuts)
+        for proc, (nrej, hits) in zip(cfg.procedures, decisions):
             t_rej = hits if few_true else nrej - hits
             f_rej = nrej - t_rej
             c = counts[proc]

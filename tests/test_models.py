@@ -463,8 +463,48 @@ def test_log_gk_of_a_point_does_not_depend_on_its_batch(model, k):
     assert np.array_equal(batch, alone)
 
 
+@pytest.mark.parametrize("model", [independent(), equicorrelated_normal(0.3),
+                                   factor_normal((0.2, 0.5, 0.7)), equicorrelated_t(0.25, 5)],
+                         ids=lambda m: m.kind)
+def test_no_points_give_no_values(model):
+    for call in (models.log_gk, gk_quantiles):
+        got = call(model, 2, [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # seeded sampling
+
+
+def _hand_block(model, mu, g):
+    """One block's scores built from its generator g in the documented order."""
+    n = mu.size
+    if model.kind == "independent":
+        return g.standard_normal((BLOCK, n)) - mu if mu.any() else g.random((BLOCK, n))
+    normals = g.standard_normal((BLOCK, n + 1))
+    lam = np.array(model.loadings) if model.kind == "factor_normal" else math.sqrt(model.rho)
+    x = lam * normals[:, :1] + np.sqrt(1.0 - lam * lam) * normals[:, 1:]
+    if model.kind == "equicorrelated_t":
+        x = x / np.sqrt(g.chisquare(model.dof, BLOCK) / model.dof)[:, None]
+    return -(x + mu)
+
+
+@pytest.mark.parametrize("model, mu", [
+    (independent(), (0.0, 0.0, 0.0)),
+    (independent(), (0.0, 1.5, -2.0)),
+    (equicorrelated_normal(0.3), (0.0, 1.5, -2.0)),
+    (factor_normal((0.2, 0.5, 0.7)), (0.0, 1.5, -2.0)),
+    (equicorrelated_t(0.25, 5), (0.0, 1.5, -2.0)),
+], ids=["independent-null", "independent-mu", "equicorr", "factor", "t"])
+def test_block_is_its_keyed_sfc64_stream_in_the_documented_order(model, mu):
+    # the stream contract: block b of (seed, salt) is SFC64 seeded by
+    # SeedSequence((stream_word(seed, salt), b)), drawn in the order that
+    # draw_scores documents, bit for bit
+    mu, seed, salt, b = np.array(mu), 8, 99, 2
+    word = models.stream_word(seed, salt)
+    g = np.random.Generator(np.random.SFC64(np.random.SeedSequence((word, b))))
+    got = draw_scores(model, mu, b * BLOCK, (b + 1) * BLOCK, seed, salt)
+    assert np.array_equal(got, _hand_block(model, mu, g))
 
 
 def test_draw_null_pvalues_shape_and_determinism():

@@ -18,6 +18,12 @@ and in each pass measures:
   script writes, and `t:0.25:5` at n = 1000, k = 2), `kfwer verify
   --suite all` and the Tier-1 test command.
 
+After the passes, each workload runs once more per checkout with
+`--trace 1`, alternating which goes first. A traced run ends with the
+benchmark's probe, so each checkout gets four samples of the per-layer
+metrics (G_k, inversion, draw and decision rates), kept with their
+median under `per_layer`.
+
 Every run is recorded. Each workload metric and command wall time is
 also reported as the median over the passes, a command with the largest
 peak RSS over the passes and a digest of its output (equal digests mean
@@ -89,9 +95,9 @@ def _run(cmd, cwd):
         return proc.returncode, wall, usage.ru_maxrss / 1024.0, out.read()
 
 
-def _workload(checkout, workload, seed):
+def _workload(checkout, workload, seed, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     code, _, _, out = _run(cmd, checkout)
     lines = out.decode().strip().splitlines()
     if code not in (0, 1) or not lines:
@@ -139,7 +145,8 @@ def _summarise_workload(runs):
 
 def main(argv=None):
     args, sides = _arguments(argv)
-    raw = {name: {"workloads": {w: [] for w in WORKLOADS}, "commands": {}} for name in sides}
+    raw = {name: {"workloads": {w: [] for w in WORKLOADS}, "commands": {}, "traced": []}
+           for name in sides}
     commands = {f"simulate {s}": ["-m", "kfwer.cli", "simulate", "--study", s] for s in STUDIES}
     config_dir = tempfile.mkdtemp(prefix="kfwer-bench-")
     t_config = os.path.join(config_dir, "t_n100.json")
@@ -168,6 +175,14 @@ def main(argv=None):
                 print(f"[{name}] {label} seed pass {seed}", file=sys.stderr, flush=True)
                 raw[name]["commands"].setdefault(label, []).append(_command(checkout, cmd))
         order.reverse()
+    # one traced pass per workload and side: each ends with the same probe,
+    # so every side gets len(WORKLOADS) samples of the per-layer metrics
+    for seed, w in zip(SEEDS, WORKLOADS):
+        for name in order:
+            print(f"[{name}] {w} traced seed {seed}", file=sys.stderr, flush=True)
+            raw[name]["traced"].append(dict(_workload(sides[name], w, seed, trace=1),
+                                            seed=seed, workload=w))
+        order.reverse()
 
     doc = {
         "label": args.label,
@@ -182,6 +197,8 @@ def main(argv=None):
         "settings": {
             "workload_command": "python3 perfbench/run.py --workload W --seed S "
                                 f"--seconds {SECONDS} --trace 0",
+            "traced_command": "the same with --trace 1, once per workload and side, "
+                              "seeds paired with workloads in order",
             "seeds": list(SEEDS),
             "t_config": T_CONFIG,
             "factor_set": {"loadings": FACTOR_LOADINGS, "n": FACTOR_N, "k": FACTOR_K},
@@ -194,6 +211,7 @@ def main(argv=None):
             name: {
                 "workloads": {w: _summarise_workload(r) for w, r in data["workloads"].items()},
                 "commands": {k: _median_of(r) for k, r in data["commands"].items()},
+                "per_layer": _summarise_workload(data["traced"]),
             }
             for name, data in raw.items()
         },

@@ -31,6 +31,11 @@ becomes score edges (models.score_bands) with P(s) <= c_i for every
 s < lo_i and P(s) > c_i for every s > hi_i. A replication whose sorted
 score at some rank lies in that rank's band [lo_i, hi_i] is decided on
 its p-values instead, so every decision is the one its p-values give.
+A chunk of models.BOUND_COLUMNS or more columns is decided on its first
+m columns: m is the last rank at which some row's sorted score is below
+lo_m or not above hi_m. Past m no score can meet its constant or lie in
+a band, so step-up and single-step reject nothing there, and step-down
+fails at rank m + 1; the counts are those of the whole row.
 
 Two salts keep the streams of different subsystems apart when a user
 reuses one seed: SIMLAB_SALT here, models.MODEL_SALT for null-only draws

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from kfwer import (
@@ -148,14 +147,16 @@ def _simes_targets(n, k, alpha=0.05):
 
 
 def _bracketed(model, k, targets):
-    """Each root by scipy's brentq on log G_k in log u over its bracket
-    [log t, log t / k], one target at a time: a reference apart from the
-    table and its passes."""
-    def f(x, log_t):
-        return log_gk(model, k, np.exp([x]))[0] - log_t
-
-    return np.array([math.exp(brentq(f, log_t, log_t / k, args=(log_t,)))
-                     for log_t in np.log(targets)])
+    """Each root by bisection on log G_k in log u over its bracket
+    [log t, log t / k], every bracket halved at once until it is at most
+    1e-13 |log t| wide: a reference apart from the table and its passes."""
+    log_t = np.log(targets)
+    lo, hi = log_t.copy(), log_t / k
+    while np.any(hi - lo > 1e-13 * np.abs(log_t)):
+        mid = 0.5 * (lo + hi)
+        below = log_gk(model, k, np.exp(mid)) < log_t
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.exp(0.5 * (lo + hi))
 
 
 def _certified(model, k, roots, targets):
@@ -195,7 +196,7 @@ def _logged_log_gk(monkeypatch):
                          ids=lambda m: m.describe())
 def test_a_single_target_keeps_the_bracketed_solve(monkeypatch, model):
     # one target is solved on its table like every set, inside its bracket
-    # [t, t^(1/k)], and lands on the brentq reference
+    # [t, t^(1/k)], and lands on the bisection reference
     targets = _simes_targets(10, 2)[4:5]
     sizes = _logged_log_gk(monkeypatch)
     got = gk_quantiles(model, 2, targets)
@@ -669,6 +670,88 @@ def test_row_inside_a_band_is_decided_on_p_values(monkeypatch, rule):
     # the rejected set is the nrej smallest p-values: the planted score and
     # the low score of the second row, both among few's columns
     assert hits.tolist() == [1, 1]
+
+
+def _hits_reference(p, cols, c, rule, nrej):
+    """How many of cols are rejected: p_j <= c_nrej (p_j < c_nrej for
+    step-down, p_j <= c for single-step), none where nrej = 0."""
+    edge = np.full(nrej.shape, c) if rule == "single" else np.asarray(c)[np.maximum(nrej, 1) - 1]
+    met = p[:, cols] < edge[:, None] if rule == "stepdown" else p[:, cols] <= edge[:, None]
+    return np.where(nrej > 0, met.sum(axis=1), 0)
+
+
+BOUND_CASES = ["banded", "band-at-the-bound", "ties", "none-can-reject", "all-can-reject"]
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+@pytest.mark.parametrize("rule", ["stepup", "stepdown", "single"])
+def test_column_bound_gives_the_full_kernel_counts(monkeypatch, rule, case):
+    # rows of BOUND_COLUMNS or more columns are decided on their first m
+    # columns; the counts must be those of every column and of the p-values
+    model, n, rank = equicorrelated_normal(0.3), 2 * models.BOUND_COLUMNS + 88, 20
+    c_band, _ = _banded_constant(model, rule)
+    # nondecreasing constants, flat from the rank-th on, whose edges there
+    # have a nonempty band
+    c = c_band if rule == "single" else tuple(c_band * min(i + 1, rank) / rank for i in range(n))
+    cut = cutoffs(model, rule, c)
+    mu = np.where(np.arange(n) < 30, 3.0, 0.0)  # a few scores far below the rest
+    scores = draw_scores(model, mu, 0, BLOCK, 17, 5)[:200]
+    edge = cut.hi[0] if rule == "single" else cut.hi[rank - 1]
+    planted = np.r_[np.full(rank - 1, -10.0), edge, np.full(n - rank, 10.0)]
+    order = np.random.default_rng(3).permutation(n)
+    if case == "banded":
+        # a row whose sorted score at rank lies in that rank's band, which
+        # only its p-values decide
+        scores[0] = planted[order]
+    elif case == "band-at-the-bound":
+        # every row at or above lo at rank and clear past it, one of them
+        # inside the band: the bound must come from hi, not lo
+        scores = np.tile(planted, (scores.shape[0], 1))
+        scores[1:, rank - 1] = edge + 1.0
+        scores = scores[:, order]
+    elif case == "ties":
+        scores = np.round(scores * 4.0) / 4.0
+    elif case == "none-can-reject":
+        scores = 10.0 + np.round(np.abs(scores))
+    else:
+        scores[0] = -10.0
+    few = scores[:, ::3].copy()
+
+    widths, inner = [], models._decide_sorted
+
+    def logged(rows, few, cut):
+        widths.append((cut.model.kind, rows.shape[1]))
+        return inner(rows, few, cut)
+
+    monkeypatch.setattr(models, "_decide_sorted", logged)
+    [(nrej, hits)] = decide(scores.copy(), few, [cut])
+    monkeypatch.undo()
+    monkeypatch.setattr(models, "BOUND_COLUMNS", n + 1)
+    [(full_nrej, full_hits)] = decide(scores.copy(), few, [cut])
+    monkeypatch.undo()
+    assert np.array_equal(nrej, full_nrej) and np.array_equal(hits, full_hits)
+
+    p = pmap(model, scores.copy())
+    assert np.array_equal(nrej, _p_reference(p, c, rule))
+    assert np.array_equal(hits, _hits_reference(p, np.arange(0, n, 3), c, rule, nrej))
+    m = widths[0][1]
+    if case == "banded":
+        # settled only on p-values, which are bounded again: past the
+        # planted rank the planted row's p-values miss
+        assert models.BOUND_COLUMNS <= m < n and nrej[0] == rank
+        assert widths == [(model.kind, m), ("independent", rank)]
+        return
+    if case == "band-at-the-bound":
+        assert widths == [(model.kind, rank), ("independent", rank)]
+        assert nrej.tolist() == [rank] + [rank - 1] * (scores.shape[0] - 1)
+        return
+    assert widths == [(model.kind, m)]
+    if case == "none-can-reject":
+        assert m == 1 and not nrej.any()  # m = 0, decided on one column
+    elif case == "all-can-reject":
+        assert m == n
+    else:
+        assert m < n
 
 
 # ---------------------------------------------------------------------------
